@@ -5,6 +5,12 @@ clause accumulates the clause disjunction, and the final qubit s_f receives
 the conjunction of all clause values. After an H layer on the variable
 qubits, the probability of reading s_f as 1 is exactly r/2^n, where r is the
 number of satisfying assignments.
+
+Every gate after the H layer permutes basis states, so the register is fixed
+by one basis index per assignment. :func:`run` therefore simulates the gate
+list on bit planes (one 2^n-bit integer per qubit, bit i holding that
+qubit's value under assignment i: parallel-pattern logic simulation);
+:mod:`satchaos.quantum` keeps the dense statevector as the reference engine.
 """
 
 from __future__ import annotations
@@ -19,6 +25,7 @@ from .config import (
     SAT_DECISION_EPS,
 )
 from .gates import (
+    _TARGET_FLIP,
     GateKind,
     GateSequence,
     hadamard_layer,
@@ -26,7 +33,6 @@ from .gates import (
     polarized_copy,
     polarized_or,
 )
-from .quantum import StateVector, apply_sequence, basis_state, probability_qubit_one
 from .sat import SatInstance
 
 
@@ -141,13 +147,50 @@ class CircuitRun:
     gates: GateSequence
     q_squared: float
     gate_counts: dict[str, int]
-    final_state: StateVector
 
 
 def gate_tally(gates) -> dict[str, int]:
     """Counts per gate kind, with every kind present (zeros included)."""
     counts = Counter(g.kind.value for g in gates)
     return {kind.value: counts.get(kind.value, 0) for kind in GateKind}
+
+
+def _h_plane(qubit: int, num_vars: int) -> int:
+    """Plane of variable qubit k after H: bit i is (i >> (k-1)) & 1."""
+    half = 1 << (qubit - 1)
+    plane, period = ((1 << half) - 1) << half, 2 * half
+    while period < 1 << num_vars:
+        plane |= plane << period
+        period *= 2
+    return plane
+
+
+def bit_planes(gates, num_vars: int, num_qubits: int) -> list[int]:
+    """Final value of every qubit under every assignment, from |0...0⟩.
+
+    planes[k-1] holds qubit k: bit i is its value once the gates have run on
+    assignment i (variable qubit j holding bit j-1 of i). The gate list must
+    open with H on qubits 1..num_vars in order and contain no other H, so
+    that every later gate is a permutation: its target plane is XORed with
+    the gate's boolean function of the control planes.
+    """
+    gates = tuple(gates)
+    if gates[:num_vars] != hadamard_layer(num_qubits, num_vars):
+        raise ValueError(
+            f"gate list must open with H on qubits 1..{num_vars} in order"
+        )
+    ones = (1 << (1 << num_vars)) - 1
+    planes = [_h_plane(k, num_vars) for k in range(1, num_vars + 1)]
+    planes += [0] * (num_qubits - num_vars)
+    for gate in gates[num_vars:]:
+        if gate.kind is GateKind.H:
+            raise ValueError(f"{gate!r} after the leading H layer is not a permutation")
+        *controls, target = (p - 1 for p in gate.positions)
+        if gate.kind is GateKind.NOT:
+            planes[target] ^= ones
+        else:
+            planes[target] ^= _TARGET_FLIP[gate.kind]([planes[c] for c in controls])
+    return planes
 
 
 def run(inst: SatInstance, max_qubits: int = DEFAULT_MAX_QUBITS) -> CircuitRun:
@@ -158,15 +201,14 @@ def run(inst: SatInstance, max_qubits: int = DEFAULT_MAX_QUBITS) -> CircuitRun:
             f"instance needs {lay.total_qubits} qubits, guard is {max_qubits}"
         )
     gates = build_circuit(inst, lay)
-    state = basis_state(lay.total_qubits, 0, max_qubits=max_qubits)
-    state = apply_sequence(state, gates)
-    q_squared = probability_qubit_one(state, lay.s_f)
+    planes = bit_planes(gates, inst.num_vars, lay.total_qubits)
+    q_squared = planes[lay.s_f - 1].bit_count() / (1 << inst.num_vars)
     scaled = q_squared * (1 << inst.num_vars)
     if abs(scaled - round(scaled)) > INTEGRALITY_ATOL:
         raise ArithmeticError(
             f"q²·2^n = {scaled!r} is not integral; the register is corrupted"
         )
-    return CircuitRun(lay, gates, q_squared, gate_tally(gates), state)
+    return CircuitRun(lay, gates, q_squared, gate_tally(gates))
 
 
 def sat_decision_exact(run_result: CircuitRun) -> str:

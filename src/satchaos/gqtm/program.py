@@ -419,6 +419,8 @@ class _JsonlWriter:
 def _run_stage(psi: ConfigSuperposition, phase: Phase, writer: _JsonlWriter,
                step_offset: int) -> tuple[ConfigSuperposition, int]:
     psi = rebase(psi, phase.entry)
+    if writer.sink is None:  # no observer: skip the per-step norm and mass sums
+        return run_phase(psi, phase, step_offset=step_offset)
 
     def emit(step_index: int, cur: ConfigSuperposition, halting_mass: float):
         writer.row(step_index, len(cur), cur.norm_sq(), halting_mass)

@@ -14,7 +14,6 @@ circuit fits a small qubit budget, all from a caller-supplied seed.
 from __future__ import annotations
 
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,7 +37,6 @@ from .sat import (
 ORACLE_ATOL = 1e-10
 CROSS_BACKEND_ATOL = 1e-9
 DEFAULT_SEED = 20260816
-_WORKERS = 8
 
 # Named edge instances every corpus must contain.
 EDGE_INSTANCES: tuple[tuple[str, SatInstance], ...] = (
@@ -90,14 +88,6 @@ def random_instance(rng: random.Random, max_n: int = 10,
         inst = instance_from_ints(n, clauses)
         if layout(inst).total_qubits <= max_total_qubits:
             return inst
-
-
-def _fan_out(fn, items):
-    """Apply fn across items on worker threads, results in task order."""
-    if len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=min(_WORKERS, len(items))) as pool:
-        return list(pool.map(fn, items))
 
 
 # --- suite: gates -----------------------------------------------------------
@@ -237,7 +227,7 @@ def suite_oracle(count: int = 100, max_n: int = 10,
         (f"random[{i}](seed={seed})", random_instance(rng, max_n=max_n))
         for i in range(count)
     ]
-    results = _fan_out(_oracle_checks, corpus)
+    results = [_oracle_checks(item) for item in corpus]
     checks = sum(c for c, _ in results)
     findings = [row for _, rows in results for row in rows]
     return SuiteResult("oracle", checks, tuple(findings), seed=seed)
@@ -401,7 +391,7 @@ def suite_tables(seed: int = DEFAULT_SEED, random_count: int = 40) -> SuiteResul
             (f"random n=3 [{i}](seed={seed})", instance_from_ints(3, chosen))
         )
 
-    results = _fan_out(_cross_backend_checks, corpus)
+    results = [_cross_backend_checks(item) for item in corpus]
     checks += sum(c for c, _ in results)
     findings += [row for _, rows in results for row in rows]
 
