@@ -9,6 +9,7 @@ identical flags (and seed) give byte-identical bytes.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -60,6 +61,7 @@ def _add_run_flags(sub: argparse.ArgumentParser) -> None:
                      help="omit timings so identical flags give identical bytes")
 
 
+@functools.cache  # built on first use, then reused by every main() call
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="satchaos",
@@ -263,8 +265,7 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
     except FileNotFoundError as exc:

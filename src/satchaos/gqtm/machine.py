@@ -1,7 +1,8 @@
 """Multi-track quantum Turing machine with amplitude-weighted configurations.
 
-A machine configuration is a processor state plus a fixed number of sparse
-tapes and per-track head positions. Dynamics come from a transition function
+A machine configuration is a processor state plus a fixed number of tapes
+(each stored densely between its outermost non-blank cells) and per-track
+head positions. Dynamics come from a transition function
 δ(state, read-symbols) → Σ amplitude·(state', writes, moves); superpositions
 of configurations evolve by applying δ to every live branch and summing
 amplitudes of identical successors, so destructive interference prunes
@@ -13,11 +14,18 @@ probability-weighted lists of superpositions — which is where measurement
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Callable, Iterable, Mapping
 
 from ..config import AMPLITUDE_PRUNE_EPS
 
 BLANK = "#"
+
+#: One track, dense: ``(origin, symbols)`` holds the symbols of cells
+#: ``origin, origin + 1, ...``. Neither end symbol is blank and the empty
+#: track is ``(0, ())``, so equal contents give equal (and equal-hashing) tapes.
+Tape = tuple[int, tuple[str, ...]]
+EMPTY_TAPE: Tape = (0, ())
 
 #: (position, symbol) pairs, sorted by position, blanks omitted.
 TapeCells = tuple[tuple[int, str], ...]
@@ -25,58 +33,97 @@ TapeCells = tuple[tuple[int, str], ...]
 _WF_ATOL = 1e-12  # normalization / orthogonality slack in check_wellformed
 
 
-def freeze_tape(cells: Mapping[int, str]) -> TapeCells:
-    return tuple(sorted((p, s) for p, s in cells.items() if s != BLANK))
+def _dense_tape(cells: Mapping[int, str]) -> Tape:
+    written = {p: s for p, s in cells.items() if s != BLANK}
+    if not written:
+        return EMPTY_TAPE
+    lo, hi = min(written), max(written)
+    return lo, tuple(written.get(p, BLANK) for p in range(lo, hi + 1))
 
 
-def tape_read(cells: TapeCells, pos: int) -> str:
-    for p, s in cells:
-        if p == pos:
-            return s
-    return BLANK
+def _read(tape: Tape, pos: int) -> str:
+    origin, symbols = tape
+    i = pos - origin
+    return symbols[i] if 0 <= i < len(symbols) else BLANK
 
 
-def tape_write(cells: TapeCells, pos: int, sym: str) -> TapeCells:
-    d = dict(cells)
+def _write(tape: Tape, pos: int, sym: str) -> Tape:
+    origin, symbols = tape
+    i = pos - origin
+    size = len(symbols)
+    if 0 <= i < size:
+        if symbols[i] == sym:
+            return tape
+        symbols = symbols[:i] + (sym,) + symbols[i + 1:]
+        if sym != BLANK or 0 < i < size - 1:
+            return origin, symbols
+        lo, hi = 0, size  # a blank landed on an end: trim that end
+        while lo < hi and symbols[lo] == BLANK:
+            lo += 1
+        while hi > lo and symbols[hi - 1] == BLANK:
+            hi -= 1
+        return (origin + lo, symbols[lo:hi]) if lo < hi else EMPTY_TAPE
     if sym == BLANK:
-        d.pop(pos, None)
-    else:
-        d[pos] = sym
-    return freeze_tape(d)
+        return tape
+    if not size:
+        return pos, (sym,)
+    if i < 0:
+        return pos, (sym,) + (BLANK,) * (-i - 1) + symbols
+    return origin, symbols + (BLANK,) * (i - size) + (sym,)
 
 
-@dataclass(frozen=True)
-class Configuration:
-    """One classical snapshot: processor state, tape contents, head positions."""
+class Configuration(tuple):
+    """One classical snapshot: processor state, tapes, head positions.
 
-    state: str
-    tapes: tuple[TapeCells, ...]
-    heads: tuple[int, ...]
+    A plain tuple ``(state, tracks, heads)`` of a string, one dense
+    :data:`Tape` per track and one int per head, so equality and hashing run
+    at tuple speed and construction does no checking; build one from sparse
+    tracks with :func:`make_configuration`.
+    """
 
-    def __post_init__(self):
-        if len(self.tapes) != len(self.heads):
-            raise ValueError("one head per track is required")
+    __slots__ = ()
+
+    def __new__(cls, state: str, tracks: tuple[Tape, ...], heads: tuple[int, ...]):
+        return tuple.__new__(cls, (state, tracks, heads))
+
+    state = property(itemgetter(0))
+    heads = property(itemgetter(2))
+
+    @property
+    def tapes(self) -> tuple[TapeCells, ...]:
+        """Every track as sorted ``(position, symbol)`` pairs, blanks omitted."""
+        return tuple(
+            tuple((origin + i, s) for i, s in enumerate(symbols) if s != BLANK)
+            for origin, symbols in self[1]
+        )
 
     @property
     def num_tracks(self) -> int:
-        return len(self.tapes)
+        return len(self[1])
 
     def read(self, track: int) -> str:
-        return tape_read(self.tapes[track], self.heads[track])
+        return _read(self[1][track], self[2][track])
 
     def symbol_at(self, track: int, pos: int) -> str:
-        return tape_read(self.tapes[track], pos)
+        return _read(self[1][track], pos)
 
     def with_state(self, state: str) -> "Configuration":
-        return Configuration(state, self.tapes, self.heads)
+        return _new(Configuration, (state, self[1], self[2]))
 
-    def sort_key(self):
-        return (self.state, self.heads, self.tapes)
+    def __repr__(self) -> str:
+        return f"Configuration({self[0]!r}, tapes={self.tapes!r}, heads={self[2]!r})"
+
+
+_new = tuple.__new__
 
 
 def make_configuration(state: str, tracks: Iterable[Mapping[int, str]],
                        heads: Iterable[int]) -> Configuration:
-    return Configuration(state, tuple(freeze_tape(t) for t in tracks), tuple(heads))
+    tapes = tuple(_dense_tape(t) for t in tracks)
+    heads = tuple(heads)
+    if len(tapes) != len(heads):
+        raise ValueError("one head per track is required")
+    return Configuration(state, tapes, heads)
 
 
 @dataclass(frozen=True)
@@ -177,10 +224,6 @@ class TransitionFunction:
                 raise ValueError(f"{self.name}: duplicate rule for {key!r}")
             self.rules[key] = tuple(targets)
 
-    def lookup(self, config: Configuration) -> tuple[tuple[str, ...], tuple[Rule, ...] | None]:
-        symbols = tuple(config.read(t) for t in self.read_tracks)
-        return symbols, self.rules.get((config.state, symbols))
-
 
 class ConfigSuperposition:
     """Sparse map configuration → complex amplitude."""
@@ -196,49 +239,49 @@ class ConfigSuperposition:
         return len(self.branches)
 
     def norm_sq(self) -> float:
-        return sum(abs(a) ** 2 for a in self._ordered_amps())
-
-    def _ordered_amps(self):
-        return [self.branches[c] for c in sorted(self.branches, key=Configuration.sort_key)]
-
-    def items_sorted(self):
-        return sorted(self.branches.items(), key=lambda kv: kv[0].sort_key())
+        return sum(abs(a) ** 2 for a in self.branches.values())
 
     def state_mass(self, states: frozenset[str] | set[str]) -> float:
-        return sum(
-            abs(a) ** 2 for c, a in self.items_sorted() if c.state in states
-        )
+        return sum(abs(a) ** 2 for c, a in self.branches.items() if c[0] in states)
 
 
-def _apply_rule(config: Configuration, r: Rule) -> Configuration:
-    tapes = list(config.tapes)
-    heads = list(config.heads)
-    for track, sym in r.writes:
-        tapes[track] = tape_write(tapes[track], heads[track], sym)
-    for track, step in r.moves:
-        heads[track] += step
-    return Configuration(r.next_state, tuple(tapes), tuple(heads))
+def _apply_rule(tracks: tuple[Tape, ...], heads: tuple[int, ...], r: Rule) -> Configuration:
+    if r.writes:
+        tracks = list(tracks)
+        for track, sym in r.writes:
+            tracks[track] = _write(tracks[track], heads[track], sym)
+        tracks = tuple(tracks)
+    if r.moves:
+        heads = list(heads)
+        for track, move in r.moves:
+            heads[track] += move
+        heads = tuple(heads)
+    return _new(Configuration, (r.next_state, tracks, heads))
 
 
 def step(psi: ConfigSuperposition, delta: TransitionFunction,
          halting_states: frozenset[str] = frozenset()) -> ConfigSuperposition:
     """One synchronous application of δ to every live branch.
 
-    Branches whose state is halting are absorbed unchanged. Successor
-    amplitudes are summed in canonical branch order (so floating-point results
-    are reproducible) and branches below the pruning epsilon vanish — exact
-    destructive interference therefore removes a branch entirely.
+    Branches whose state is halting are absorbed unchanged. Branches are
+    visited in the superposition's insertion order, which successors inherit,
+    so a run sums amplitudes in the same order every time. Branches below the
+    pruning epsilon vanish — exact destructive interference therefore removes
+    a branch entirely.
     """
     out: dict[Configuration, complex] = {}
-    for config, amp in psi.items_sorted():
-        if config.state in halting_states:
+    rules, read_tracks = delta.rules, delta.read_tracks
+    for config, amp in psi.branches.items():
+        state, tracks, heads = config
+        if state in halting_states:
             out[config] = out.get(config, 0.0) + amp
             continue
-        symbols, targets = delta.lookup(config)
+        symbols = tuple([_read(tracks[t], heads[t]) for t in read_tracks])
+        targets = rules.get((state, symbols))
         if targets is None:
-            raise StuckConfigurationError(config.state, symbols, config.heads)
+            raise StuckConfigurationError(state, symbols, heads)
         for r in targets:
-            succ = _apply_rule(config, r)
+            succ = _apply_rule(tracks, heads, r)
             out[succ] = out.get(succ, 0.0) + amp * r.amplitude
     return ConfigSuperposition(
         {c: a for c, a in out.items() if abs(a) >= AMPLITUDE_PRUNE_EPS}
@@ -259,7 +302,7 @@ class Phase:
 def rebase(psi: ConfigSuperposition, entry: str) -> ConfigSuperposition:
     """Relabel every branch's processor state — the glue between phases."""
     return ConfigSuperposition(
-        {c.with_state(entry): a for c, a in psi.items_sorted()}
+        {c.with_state(entry): a for c, a in psi.branches.items()}
     )
 
 
@@ -296,7 +339,7 @@ def decohere(psi: ConfigSuperposition) -> MixedConfiguration:
     """Measure in the configuration basis: each branch becomes a component
     of weight |amplitude|² holding that single configuration."""
     comps = tuple(
-        (abs(a) ** 2, ConfigSuperposition.pure(c)) for c, a in psi.items_sorted()
+        (abs(a) ** 2, ConfigSuperposition.pure(c)) for c, a in psi.branches.items()
     )
     return MixedConfiguration(comps)
 

@@ -10,11 +10,13 @@ that drives the result weight through the logistic map while a binary
 counter bounds the number of iterations.
 
 Every phase's table depends only on the variable count, never on the clauses:
-the instance enters purely through the track-0 encoding.
+the instance enters purely through the track-0 encoding. The six tables that
+do not depend on the count either are built once, at import.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -320,6 +322,15 @@ def phase_compare(num_vars: int) -> Phase:
                  frozenset({"cmp_eq_done", "cmp_ne_done"}))
 
 
+# Built once; the builders above stay callable for inspection and tests.
+DFT = phase_dft()
+OR_EVAL = phase_or_eval()
+AND_EVAL = phase_and_eval()
+ERASE = phase_erase()
+HANDOFF = phase_handoff()
+INCREMENT = phase_increment()
+
+
 # --- the assembled machine -------------------------------------------------
 
 UNITARY_STAGE = ("setup", "dft", "or_eval", "and_eval")
@@ -348,7 +359,9 @@ class SatMachine:
         return "\n\n".join(dump_transition(p) for p in self.phases)
 
 
+@functools.cache
 def sat_machine(num_vars: int) -> SatMachine:
+    """The machine for ``num_vars`` variables, built once per count."""
     if num_vars < 1:
         raise ValueError("at least one variable is required")
     window = iteration_window(num_vars)
@@ -358,12 +371,12 @@ def sat_machine(num_vars: int) -> SatMachine:
         window.bit_length(),
         (
             phase_setup(num_vars),
-            phase_dft(),
-            phase_or_eval(),
-            phase_and_eval(),
-            phase_erase(),
-            phase_handoff(),
-            phase_increment(),
+            DFT,
+            OR_EVAL,
+            AND_EVAL,
+            ERASE,
+            HANDOFF,
+            INCREMENT,
             phase_compare(num_vars),
         ),
     )
@@ -539,9 +552,8 @@ def run_classical_branch(inst: SatInstance, bits) -> tuple[tuple[int, ...], int]
         raise ValueError(f"need {n} bits in {{0,1}}, got {bits!r}")
     track0 = {i: s for i, s in enumerate(encode_sat_input(inst))}
     track1 = {i: str(b) for i, b in enumerate(bits)}
-    or_phase = phase_or_eval()
-    config = make_configuration(or_phase.entry, [track0, track1, {}, {}], [0, 0, 0, 0])
-    psi, _ = run_phase(ConfigSuperposition.pure(config), or_phase)
+    config = make_configuration(OR_EVAL.entry, [track0, track1, {}, {}], [0, 0, 0, 0])
+    psi, _ = run_phase(ConfigSuperposition.pure(config), OR_EVAL)
     (config,) = psi.branches
     clause_bits = []
     for j in range(inst.num_clauses):
@@ -549,8 +561,7 @@ def run_classical_branch(inst: SatInstance, bits) -> tuple[tuple[int, ...], int]
         if sym not in ("0", "1"):
             raise RuntimeError(f"clause cell {j} holds {sym!r} after the OR phase")
         clause_bits.append(int(sym))
-    and_phase = phase_and_eval()
-    psi, _ = run_phase(rebase(psi, and_phase.entry), and_phase)
+    psi, _ = run_phase(rebase(psi, AND_EVAL.entry), AND_EVAL)
     (config,) = psi.branches
     result = config.symbol_at(3, 0)
     if result not in ("0", "1"):

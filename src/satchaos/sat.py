@@ -126,7 +126,11 @@ def _with_size_warning(inst: SatInstance) -> SatInstance:
 
 
 def parse_dimacs(text: str) -> SatInstance:
-    """Parse DIMACS CNF. Strict: the header's counts must match the body."""
+    """Parse DIMACS CNF. Strict: the header's counts must match the body.
+
+    A line holding only ``%`` ends the clause data, as in the SATLIB
+    benchmark files, which close with a ``%`` line and a lone ``0``.
+    """
     num_vars: int | None = None
     declared_clauses: int | None = None
     clauses: list[list[int]] = []
@@ -137,6 +141,8 @@ def parse_dimacs(text: str) -> SatInstance:
         line = raw.strip()
         if not line or line.startswith("c"):
             continue
+        if line == "%":
+            break
         if line.startswith("p"):
             if num_vars is not None:
                 raise DimacsError("duplicate problem header", lineno)

@@ -133,6 +133,14 @@ def test_bad_dimacs_reports_line(tmp_path, capsys):
     assert "error:" in err and "line 2" in err
 
 
+def test_solve_accepts_satlib_trailer(tmp_path, capsys):
+    path = tmp_path / "satlib.cnf"
+    path.write_text("p cnf 2 1\n1 -2 0\n%\n0\n")
+    assert main(["solve", str(path)]) == EXIT_OK
+    report = json.loads(capsys.readouterr().out)
+    assert report["m"] == 1 and report["r_oracle"] == 3
+
+
 def test_circuit_guard_refusal(worked_path, capsys):
     assert main(["solve", worked_path, "--max-qubits", "9"]) == EXIT_GUARD
     assert "guard refusal" in capsys.readouterr().err

@@ -4,13 +4,16 @@ import json
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from satchaos.amplifier import amplify_detect, iteration_window, snap_dyadic
 from satchaos.circuit import run as circuit_run
 from satchaos.config import GuardExceeded
 from satchaos.gqtm.machine import (
     BLANK,
+    EMPTY_TAPE,
     ConfigSuperposition,
+    Configuration,
     MixedConfiguration,
     Phase,
     StuckConfigurationError,
@@ -25,19 +28,35 @@ from satchaos.gqtm.machine import (
     rule,
     run_phase,
     step,
+    _write,
 )
 from satchaos.gqtm.program import (
     COLLAPSE_STAGE,
     UNITARY_STAGE,
+    SatMachine,
     decode_sat_input,
     encode_sat_input,
     initial_configuration,
+    phase_and_eval,
+    phase_compare,
+    phase_dft,
+    phase_erase,
+    phase_handoff,
+    phase_increment,
+    phase_or_eval,
+    phase_setup,
     run_classical_branch,
     run_sat_gqtm,
     sat_machine,
     sat_program,
 )
-from satchaos.sat import eval_clause, eval_instance, instance_from_ints, parse_dimacs
+from satchaos.sat import (
+    count_models,
+    eval_clause,
+    eval_instance,
+    instance_from_ints,
+    parse_dimacs,
+)
 
 WORKED = parse_dimacs("p cnf 3 3\n1 2 -3 0\n3 -2 0\n1 -2 -3 0\n")
 WORKED_ENCODING = "000XC_S110Y001C_EC_S001Y010C_EC_S100Y011C_E"
@@ -64,6 +83,43 @@ def test_configuration_basics():
     assert config.with_state("p").state == "p"
     with pytest.raises(ValueError):
         make_configuration("q", [{}, {}], [0])  # head count mismatch
+
+
+# Blank writes, negative positions and writes past either end included.
+tape_writes = st.lists(
+    st.tuples(st.integers(-6, 6), st.sampled_from(("0", "1", "X", BLANK))),
+    max_size=30,
+)
+
+
+@given(tape_writes, tape_writes, st.integers(-8, 8))
+@settings(max_examples=300, deadline=None)
+def test_dense_tape_matches_a_dict_model(writes, noise, head):
+    tape, model = EMPTY_TAPE, {}
+    for pos, sym in writes:
+        tape = _write(tape, pos, sym)
+        if sym == BLANK:
+            model.pop(pos, None)
+        else:
+            model[pos] = sym
+    config = Configuration("q", (tape,), (head,))
+    assert config.read(0) == model.get(head, BLANK)
+    for pos in range(-8, 9):
+        assert config.symbol_at(0, pos) == model.get(pos, BLANK)
+    assert config.tapes == (tuple(sorted(model.items())),)
+
+    # The same contents reached by another history: scribble, blank it all,
+    # then write the model right to left.
+    other = EMPTY_TAPE
+    for pos, sym in noise:
+        other = _write(other, pos, sym)
+    for pos, _ in noise:
+        other = _write(other, pos, BLANK)
+    for pos, sym in sorted(model.items(), reverse=True):
+        other = _write(other, pos, sym)
+    for twin in (Configuration("q", (other,), (head,)),
+                 make_configuration("q", [model], [head])):
+        assert twin == config and hash(twin) == hash(config)
 
 
 def test_rule_validation():
@@ -367,6 +423,50 @@ def test_factored_stages_equal_integrated_run():
     reference = amplify_detect(q_squared, 3)
     assert reference.x == integrated.trace.x
     assert reference.decision == integrated.decision
+
+
+# n <= 3, m <= 4; duplicate and opposed literals within a clause allowed.
+small_cnfs = st.integers(1, 3).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.lists(
+            st.lists(
+                st.integers(1, n).flatmap(lambda v: st.sampled_from([v, -v])),
+                min_size=1, max_size=4,
+            ),
+            min_size=1, max_size=4,
+        ),
+    )
+)
+
+
+@given(small_cnfs)
+@settings(max_examples=150, deadline=None)
+def test_machine_counts_models_and_replays_every_branch(cnf):
+    inst = instance_from_ints(*cnf)
+    n = inst.num_vars
+    assert abs(run_sat_gqtm(inst).weights_raw[1] * 2 ** n - count_models(inst)) < 1e-9
+    for bits in itertools.product((0, 1), repeat=n):
+        clause_bits, result = run_classical_branch(inst, bits)
+        assert result == eval_instance(inst, bits)
+        assert clause_bits == tuple(eval_clause(c, bits) for c in inst.clauses)
+
+
+@pytest.mark.parametrize("num_vars", [1, 2, 3, 4])
+def test_sat_machine_is_cached_with_unchanged_tables(num_vars):
+    machine = sat_machine(num_vars)
+    assert sat_machine(num_vars) is machine
+    fresh = SatMachine(
+        num_vars,
+        iteration_window(num_vars),
+        iteration_window(num_vars).bit_length(),
+        (
+            phase_setup(num_vars), phase_dft(), phase_or_eval(), phase_and_eval(),
+            phase_erase(), phase_handoff(), phase_increment(), phase_compare(num_vars),
+        ),
+    )
+    assert (machine.window, machine.counter_bits) == (fresh.window, fresh.counter_bits)
+    assert machine.dump() == fresh.dump()
 
 
 def test_cross_backend_weight_agreement():

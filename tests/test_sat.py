@@ -60,6 +60,16 @@ def test_parse_rejects(text, fragment):
         parse_dimacs(text)
 
 
+SATLIB_TRAILER = "p cnf 2 1\n1 -2 0\n%\n0\n"
+
+
+def test_parse_stops_at_satlib_trailer():
+    inst = parse_dimacs(SATLIB_TRAILER)
+    assert inst == parse_dimacs("p cnf 2 1\n1 -2 0\n")
+    with pytest.raises(DimacsError, match="not 0-terminated"):
+        parse_dimacs("p cnf 2 1\n1 -2\n%\n0\n")
+
+
 def test_parse_error_carries_line_number():
     with pytest.raises(DimacsError) as err:
         parse_dimacs("p cnf 2 1\n1 bogus 0\n")
