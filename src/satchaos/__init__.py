@@ -22,12 +22,13 @@ from .amplifier import (
     iteration_window,
     k_bounds,
     logistic_trajectory,
+    snap_dyadic,
     sweep_crossing_bounds,
 )
 from .circuit import CircuitLayout, CircuitRun, build_circuit, layout, run, sat_decision_exact
 from .config import GuardExceeded
 from .gates import GateKind, PlacedGate, decompose, gate_matrix, placed
-from .gqtm import GqtmRun, run_sat_gqtm, sat_machine
+from .gqtm import GqtmRun, check_wellformed, dump_transition, run_sat_gqtm, sat_machine
 from .quantum import StateVector, apply_placed_gate, apply_sequence, basis_state
 from .sat import (
     Clause,
@@ -63,8 +64,10 @@ __all__ = [
     "apply_sequence",
     "basis_state",
     "build_circuit",
+    "check_wellformed",
     "count_models",
     "decompose",
+    "dump_transition",
     "eval_instance",
     "gate_matrix",
     "instance_from_ints",
@@ -79,6 +82,7 @@ __all__ = [
     "sat_decision_exact",
     "sat_machine",
     "satisfying_indices",
+    "snap_dyadic",
     "sweep_crossing_bounds",
     "to_dimacs",
     "__version__",

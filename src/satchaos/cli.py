@@ -1,9 +1,11 @@
 """Command-line driver: solve, trace, verify and sweep.
 
 Exit codes are fixed for CI use: 0 success, 1 input error, 2 guard refusal,
-3 verification findings. Reports are JSON with sorted keys; traces and
-sweeps are CSV. With --deterministic the wall-clock timings are dropped so
-identical flags (and seed) give byte-identical bytes.
+3 verification findings, 4 internal invariant break (an ``ArithmeticError``
+or ``RuntimeError`` such as norm drift or a stuck machine). Reports are JSON
+with sorted keys; traces and sweeps are CSV. With --deterministic the
+wall-clock timings are dropped so identical flags (and seed) give
+byte-identical bytes.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import time
 from pathlib import Path
 
 from .amplifier import LogisticParams, amplify_detect, snap_dyadic, sweep_crossing_bounds
-from .circuit import run as circuit_run, sat_decision_exact
+from .circuit import run as circuit_run
 from .config import (
     DEFAULT_LOGISTIC_A,
     DEFAULT_MAX_ENUM_VARS,
@@ -32,6 +34,7 @@ EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_GUARD = 2
 EXIT_FINDINGS = 3
+EXIT_INTERNAL = 4
 
 
 def _parse_range(text: str) -> tuple[int, int]:
@@ -56,7 +59,6 @@ def _add_run_flags(sub: argparse.ArgumentParser) -> None:
                      help="detection threshold (default %(default)s)")
     sub.add_argument("--max-qubits", type=int, default=DEFAULT_MAX_QUBITS,
                      help="refuse circuits beyond this register size")
-    sub.add_argument("--seed", type=int, default=DEFAULT_SEED)
     sub.add_argument("--deterministic", action="store_true",
                      help="omit timings so identical flags give identical bytes")
 
@@ -280,6 +282,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except (ArithmeticError, RuntimeError) as exc:  # GuardExceeded is caught above
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

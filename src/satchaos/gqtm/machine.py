@@ -8,13 +8,16 @@ of configurations evolve by applying δ to every live branch and summing
 amplitudes of identical successors, so destructive interference prunes
 branches exactly. On top of the pure dynamics sit mixed configurations —
 probability-weighted lists of superpositions — which is where measurement
-(decoherence) and classical reweighting act.
+(decoherence) and classical reweighting act. After a measurement in the
+configuration basis, a deterministic table steps probability weights the
+way it steps amplitudes, so a whole measured ensemble can run as one
+superposition of weights.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import itemgetter
+from operator import add, itemgetter
 from typing import Callable, Iterable, Mapping
 
 from ..config import AMPLITUDE_PRUNE_EPS
@@ -164,6 +167,10 @@ class StuckConfigurationError(RuntimeError):
 
 WILDCARD = "*"
 
+#: One rule in the form :func:`step` applies: (amplitude, next state, writes,
+#: per-track head shifts, or ``None`` when no head moves).
+CompiledRule = tuple[complex, str, tuple[tuple[int, str], ...], "tuple[int, ...] | None"]
+
 
 class TransitionFunction:
     """δ as a rule table keyed on (state, symbols read from ``read_tracks``).
@@ -184,6 +191,8 @@ class TransitionFunction:
         self.write_tracks = tuple(write_tracks)
         self.alphabets = {t: tuple(alphabets[t]) for t in self.read_tracks}
         self.rules: dict[tuple[str, tuple[str, ...]], tuple[Rule, ...]] = {}
+        #: ``rules`` compiled for :func:`step`, key for key.
+        self.compiled: dict[tuple[str, tuple[str, ...]], tuple[CompiledRule, ...]] = {}
         for t in self.read_tracks + self.write_tracks:
             if not 0 <= t < num_tracks:
                 raise ValueError(f"track {t} out of range for {num_tracks} tracks")
@@ -210,6 +219,15 @@ class TransitionFunction:
             keys = [k + (o,) for k in keys for o in options]
         return keys
 
+    def _compile(self, r: Rule) -> CompiledRule:
+        shift = None
+        if r.moves:
+            shift = [0] * self.num_tracks
+            for track, move in r.moves:
+                shift[track] = move
+            shift = tuple(shift)
+        return complex(r.amplitude), r.next_state, r.writes, shift
+
     def add(self, state: str, reads: tuple[str, ...], targets: list[Rule]):
         if len(reads) != len(self.read_tracks):
             raise ValueError(
@@ -218,15 +236,17 @@ class TransitionFunction:
             )
         for r in targets:
             self._check_footprint(r)
+        compiled = tuple(self._compile(r) for r in targets)
         for key_syms in self._expand(reads):
             key = (state, key_syms)
             if key in self.rules:
                 raise ValueError(f"{self.name}: duplicate rule for {key!r}")
             self.rules[key] = tuple(targets)
+            self.compiled[key] = compiled
 
 
 class ConfigSuperposition:
-    """Sparse map configuration → complex amplitude."""
+    """Sparse map configuration → complex amplitude (or probability weight)."""
 
     def __init__(self, branches: Mapping[Configuration, complex] | None = None):
         self.branches: dict[Configuration, complex] = dict(branches or {})
@@ -245,18 +265,11 @@ class ConfigSuperposition:
         return sum(abs(a) ** 2 for c, a in self.branches.items() if c[0] in states)
 
 
-def _apply_rule(tracks: tuple[Tape, ...], heads: tuple[int, ...], r: Rule) -> Configuration:
-    if r.writes:
-        tracks = list(tracks)
-        for track, sym in r.writes:
-            tracks[track] = _write(tracks[track], heads[track], sym)
-        tracks = tuple(tracks)
-    if r.moves:
-        heads = list(heads)
-        for track, move in r.moves:
-            heads[track] += move
-        heads = tuple(heads)
-    return _new(Configuration, (r.next_state, tracks, heads))
+def _wrap(branches: dict[Configuration, complex]) -> ConfigSuperposition:
+    """A superposition that takes ownership of ``branches`` (no copy)."""
+    psi = ConfigSuperposition.__new__(ConfigSuperposition)
+    psi.branches = branches
+    return psi
 
 
 def step(psi: ConfigSuperposition, delta: TransitionFunction,
@@ -268,24 +281,50 @@ def step(psi: ConfigSuperposition, delta: TransitionFunction,
     so a run sums amplitudes in the same order every time. Branches below the
     pruning epsilon vanish — exact destructive interference therefore removes
     a branch entirely.
+
+    δ acts linearly on the values it carries, so a deterministic table with
+    amplitude 1 moves probability weights exactly as it moves amplitudes, and
+    identical successors add their weights.
     """
     out: dict[Configuration, complex] = {}
-    rules, read_tracks = delta.rules, delta.read_tracks
+    upsert = out.setdefault
+    compiled, read_tracks = delta.compiled, delta.read_tracks
     for config, amp in psi.branches.items():
         state, tracks, heads = config
         if state in halting_states:
-            out[config] = out.get(config, 0.0) + amp
+            # Keys of psi are distinct, so amp was never inserted before.
+            prev = upsert(config, amp)
+            if prev is not amp:
+                out[config] = prev + amp
             continue
-        symbols = tuple([_read(tracks[t], heads[t]) for t in read_tracks])
-        targets = rules.get((state, symbols))
+        symbols = []
+        for t in read_tracks:  # _read, inlined: a call per track costs more
+            origin, cells = tracks[t]
+            i = heads[t] - origin
+            symbols.append(cells[i] if 0 <= i < len(cells) else BLANK)
+        symbols = tuple(symbols)
+        targets = compiled.get((state, symbols))
         if targets is None:
             raise StuckConfigurationError(state, symbols, heads)
-        for r in targets:
-            succ = _apply_rule(tracks, heads, r)
-            out[succ] = out.get(succ, 0.0) + amp * r.amplitude
-    return ConfigSuperposition(
-        {c: a for c, a in out.items() if abs(a) >= AMPLITUDE_PRUNE_EPS}
-    )
+        for amplitude, next_state, writes, shift in targets:
+            succ_tracks = tracks
+            if writes:
+                succ_tracks = list(tracks)
+                for track, sym in writes:
+                    succ_tracks[track] = _write(succ_tracks[track], heads[track], sym)
+                succ_tracks = tuple(succ_tracks)
+            succ = _new(Configuration, (
+                next_state, succ_tracks,
+                heads if shift is None else tuple(map(add, heads, shift)),
+            ))
+            x = amp * amplitude  # a new complex object, so ``is`` tells a hit
+            prev = upsert(succ, x)
+            if prev is not x:
+                out[succ] = prev + x
+    if out and min(map(abs, out.values())) < AMPLITUDE_PRUNE_EPS:  # rarely true
+        for config in [c for c, a in out.items() if abs(a) < AMPLITUDE_PRUNE_EPS]:
+            del out[config]
+    return _wrap(out)
 
 
 @dataclass(frozen=True)
@@ -301,9 +340,7 @@ class Phase:
 
 def rebase(psi: ConfigSuperposition, entry: str) -> ConfigSuperposition:
     """Relabel every branch's processor state — the glue between phases."""
-    return ConfigSuperposition(
-        {c.with_state(entry): a for c, a in psi.branches.items()}
-    )
+    return _wrap({c.with_state(entry): a for c, a in psi.branches.items()})
 
 
 StepCallback = Callable[[int, ConfigSuperposition, float], None]
@@ -313,7 +350,8 @@ def run_phase(psi: ConfigSuperposition, phase: Phase, max_steps: int = 100_000,
               on_step: StepCallback | None = None, step_offset: int = 0) -> tuple[ConfigSuperposition, int]:
     """Step until every branch sits in a final state; returns (psi, steps taken)."""
     steps = 0
-    while any(c.state not in phase.finals for c in psi.branches):
+    finals = phase.finals
+    while not finals.issuperset([c[0] for c in psi.branches]):
         if steps >= max_steps:
             raise RuntimeError(
                 f"phase {phase.name!r} exceeded {max_steps} steps without halting"

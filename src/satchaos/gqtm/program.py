@@ -4,10 +4,11 @@ Track roles: track 0 carries the instance encoding, track 1 the superposed
 assignment bits, track 2 per-clause truth bits, track 3 the result bit plus
 the iteration counter. The run factors into a unitary part (counter setup,
 Hadamard spreading, clause ORs, final AND) whose tables all pass the local
-unitarity certificate, a collapse that measures in the configuration basis,
-erases tracks 0-2 and merges branches by result bit, and a detection loop
-that drives the result weight through the logistic map while a binary
-counter bounds the number of iterations.
+unitarity certificate, a collapse that measures in the configuration basis
+and then runs one weighted pass that erases tracks 1, 2 and 0 (in that
+order, so branches merge by result bit before the long input sweep), and a
+detection loop that drives the result weight through the logistic map while
+a binary counter bounds the number of iterations.
 
 Every phase's table depends only on the variable count, never on the clauses:
 the instance enters purely through the track-0 encoding. The six tables that
@@ -30,18 +31,15 @@ from ..amplifier import (
     logistic_step,
     snap_dyadic,
 )
-from ..config import DEFAULT_MAX_MACHINE_VARS, GuardExceeded
+from ..config import DEFAULT_MAX_MACHINE_VARS, SINGLE_OP_ATOL, GuardExceeded
 from ..sat import Clause, Literal, SatInstance
 from .machine import (
     BLANK,
     ConfigSuperposition,
     Configuration,
-    MixedConfiguration,
     Phase,
     TransitionFunction,
-    decohere,
     make_configuration,
-    merge_components,
     rebase,
     rule,
     run_phase,
@@ -234,20 +232,19 @@ def phase_and_eval() -> Phase:
 def phase_erase() -> Phase:
     """Blank tracks 0-2 so branches differ only in their result bit.
 
+    Track 1 goes first, then track 2, then track 0. Once the first two are
+    blank, branches that agree on the result bit are identical configurations
+    and merge, so the sweep of track 0, the longest track, steps at most two
+    branches. Every head ends on cell 0.
+
     Deliberately irreversible: this is the reset half of the measurement
-    channel and runs on classical (post-collapse) components only, so its
+    channel and runs on classical (post-collapse) weights only, so its
     wellformedness report flags overlap defects but never normalization ones.
     """
     t = _table("erase", (0, 1, 2), (0, 1, 2))
     for v in BIT_SYMBOLS:
         for w in BIT_SYMBOLS:
-            t.add("erase_enter", (BLANK, v, w),
-                  [rule(1, "erase_input", moves={0: -1})])
-            for s in INPUT_SYMBOLS:
-                t.add("erase_input", (s, v, w),
-                      [rule(1, "erase_input", writes={0: BLANK}, moves={0: -1})])
-            t.add("erase_input", (BLANK, v, w),
-                  [rule(1, "erase_fwd1", moves={0: +1})])
+            t.add("erase_enter", (BLANK, v, w), [rule(1, "erase_fwd1", moves={1: +1})])
             t.add("erase_fwd1", (BLANK, v, w), [rule(1, "erase_fwd1", moves={1: +1})])
             t.add("erase_back1", (BLANK, v, w),
                   [rule(1, "erase_back1", writes={1: BLANK}, moves={1: -1})])
@@ -257,7 +254,13 @@ def phase_erase() -> Phase:
         t.add("erase_back2", (BLANK, BLANK, v),
               [rule(1, "erase_back2", writes={2: BLANK}, moves={2: -1})])
     t.add("erase_fwd2", (BLANK, BLANK, BLANK), [rule(1, "erase_back2", moves={2: -1})])
-    t.add("erase_back2", (BLANK, BLANK, BLANK), [rule(1, "erase_done", moves={2: +1})])
+    # Head 0 waits one cell past the input; step it onto the last symbol.
+    t.add("erase_back2", (BLANK, BLANK, BLANK),
+          [rule(1, "erase_input", moves={0: -1, 2: +1})])
+    for s in INPUT_SYMBOLS:
+        t.add("erase_input", (s, BLANK, BLANK),
+              [rule(1, "erase_input", writes={0: BLANK}, moves={0: -1})])
+    t.add("erase_input", (BLANK, BLANK, BLANK), [rule(1, "erase_done", moves={0: +1})])
     return Phase("erase", "bookkeeping", t, "erase_enter", frozenset({"erase_done"}))
 
 
@@ -445,18 +448,42 @@ def _workspace_blank(config: Configuration) -> bool:
     return config.tapes[0] == () and config.tapes[1] == () and config.tapes[2] == ()
 
 
+def collapse(psi: ConfigSuperposition, machine: SatMachine) -> ConfigSuperposition:
+    """The measurement channel, run as one weighted pass.
+
+    Measuring in the configuration basis turns each branch into its weight
+    |amplitude|². The erase and handoff tables are deterministic with
+    amplitude 1, so :func:`~.machine.step` moves those weights the way it
+    moves amplitudes, and branches that become identical add their weights:
+    the same result as erasing each measured branch on its own and merging
+    the components. Like amplitudes, weights below the pruning epsilon would
+    vanish; every branch here weighs 2^-n. Returns configuration → weight,
+    one entry per result bit that occurs. Raises ``ArithmeticError`` unless
+    the weights sum to 1.
+    """
+    rho = ConfigSuperposition({c: abs(a) ** 2 for c, a in psi.branches.items()})
+    for name in COLLAPSE_STAGE:
+        phase = machine.phase(name)
+        rho, _ = run_phase(rebase(rho, phase.entry), phase)
+    total = sum(rho.branches.values())
+    if abs(total - 1.0) > SINGLE_OP_ATOL:
+        raise ArithmeticError(f"collapse is not trace-preserving: weights sum to {total!r}")
+    return rho
+
+
 def run_sat_gqtm(inst: SatInstance, params: LogisticParams = LogisticParams(), *,
                  max_vars: int = DEFAULT_MAX_MACHINE_VARS,
                  jsonl_sink: IO[str] | None = None) -> GqtmRun:
     """Full pipeline: unitary stage, collapse, then the detection loop.
 
-    The collapse measures in the configuration basis (branch weight equals
-    squared amplitude), blanks the workspace per component, and merges
-    components — leaving one component per result bit whose weight is the
-    model fraction. That weight is snapped to the nearest r/2^n (guarded) and
-    driven through the logistic map, testing the threshold before each
-    iteration, until it crosses (satisfiable) or the counter reaches the
-    iteration limit (unsatisfiable when the weight is exactly zero).
+    The collapse (:func:`collapse`) measures in the configuration basis
+    (branch weight equals squared amplitude), blanks the workspace and merges
+    identical branches — leaving one configuration per result bit whose
+    weight is the model fraction. That weight is snapped to the nearest
+    r/2^n (guarded) and driven through the logistic map, testing the
+    threshold before each iteration, until it crosses (satisfiable) or the
+    counter reaches the iteration limit (unsatisfiable when the weight is
+    exactly zero).
     """
     n = inst.num_vars
     if n > max_vars:
@@ -476,30 +503,21 @@ def run_sat_gqtm(inst: SatInstance, params: LogisticParams = LogisticParams(), *
     if abs(norm - 1.0) > 1e-9:
         raise ArithmeticError(f"norm drifted to {norm!r} during the unitary stage")
 
-    mixed = decohere(psi)
-    collapsed = []
-    for weight, comp in mixed.components:
-        for name in COLLAPSE_STAGE:
-            comp, _ = run_phase(rebase(comp, machine.phase(name).entry),
-                                machine.phase(name))
-        (config,) = comp.branches
+    branch_count = len(psi)
+    rho = collapse(psi, machine)
+    loop_psi = None
+    w1_raw = 0.0
+    w0_raw = 0.0
+    for config, weight in rho.branches.items():
         if not _workspace_blank(config):
             raise RuntimeError(
                 f"workspace tracks not blank after erasure: {config.tapes[:3]!r}"
             )
-        collapsed.append((weight, comp))
-    merged = merge_components(MixedConfiguration(tuple(collapsed)))
-
-    loop_psi = None
-    w1_raw = 0.0
-    w0_raw = 0.0
-    for weight, comp in merged.components:
-        (config,) = comp.branches
         bit = config.symbol_at(3, 0)
         if bit == "1":
-            w1_raw = weight
+            w1_raw = weight.real
         elif bit == "0":
-            loop_psi, w0_raw = comp, weight
+            loop_psi, w0_raw = ConfigSuperposition.pure(config), weight.real
         else:
             raise RuntimeError(f"result cell holds {bit!r}, expected a bit")
 
@@ -514,7 +532,7 @@ def run_sat_gqtm(inst: SatInstance, params: LogisticParams = LogisticParams(), *
     loop_step = steps
     while True:
         loop_step += 1
-        writer.row(loop_step, len(merged.components), 1.0, w1)
+        writer.row(loop_step, len(rho), 1.0, w1)
         if w1 > params.threshold:
             decision, k_star = "SAT", k
             break
@@ -535,7 +553,7 @@ def run_sat_gqtm(inst: SatInstance, params: LogisticParams = LogisticParams(), *
     trace = AmplifierTrace(tuple(xs), k_star, decision, bounds, params)
     return GqtmRun(
         decision, k_star, trace, q_squared, r_estimate,
-        (w0_raw, w1_raw), len(mixed.components), steps, machine,
+        (w0_raw, w1_raw), branch_count, steps, machine,
     )
 
 

@@ -1,9 +1,20 @@
 import json
+import re
+from pathlib import Path
 
 import pytest
 
+import satchaos.cli
 from satchaos.amplifier import iteration_window, k_bounds
-from satchaos.cli import EXIT_FINDINGS, EXIT_GUARD, EXIT_INPUT, EXIT_OK, main
+from satchaos.cli import (
+    EXIT_FINDINGS,
+    EXIT_GUARD,
+    EXIT_INPUT,
+    EXIT_INTERNAL,
+    EXIT_OK,
+    main,
+)
+from satchaos.gqtm import StuckConfigurationError
 
 WORKED_CNF = "p cnf 3 3\n1 2 -3 0\n3 -2 0\n1 -2 -3 0\n"
 CONTRADICTION_CNF = "p cnf 1 2\n1 0\n-1 0\n"
@@ -153,6 +164,29 @@ def test_machine_guard_refusal(tmp_path, capsys):
     assert "4 variables" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("exc", [
+    ArithmeticError("norm drifted to 1.5 during the unitary stage"),
+    RuntimeError("workspace tracks not blank after erasure"),
+    StuckConfigurationError("erase_input", ("?",), (0, 0, 0, 0)),
+])
+def test_invariant_break_exits_internal(worked_path, monkeypatch, capsys, exc):
+    def broken(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(satchaos.cli, "run_sat_gqtm", broken)
+    assert main(["solve", worked_path, "--backend", "gqtm"]) == EXIT_INTERNAL
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith(f"internal error: {type(exc).__name__}: ")
+
+
+@pytest.mark.parametrize("command", ["solve", "trace"])
+def test_run_commands_take_no_seed(worked_path, command):
+    with pytest.raises(SystemExit):
+        main([command, worked_path, "--seed", "1"])
+
+
 def test_bad_range_argument(worked_path):
     with pytest.raises(SystemExit):
         main(["sweep", "--n", "5"])
@@ -213,3 +247,14 @@ def test_verify_writes_json_report(tmp_path, capsys):
     assert report["ok"] is True
     (suite,) = report["suites"]
     assert suite["suite"] == "gates" and suite["findings"] == []
+
+
+# --- the README ----------------------------------------------------------------
+
+def test_readme_library_example_runs(tmp_path, monkeypatch, capsys):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    (block,) = re.findall(r"## Library\n\n```python\n(.*?)```", readme, re.S)
+    (tmp_path / "worked.cnf").write_text(WORKED_CNF)
+    monkeypatch.chdir(tmp_path)
+    exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out == "SAT 1\n"

@@ -2,6 +2,7 @@ import io
 import itertools
 import json
 import math
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -32,8 +33,11 @@ from satchaos.gqtm.machine import (
 )
 from satchaos.gqtm.program import (
     COLLAPSE_STAGE,
+    ERASE,
+    HANDOFF,
     UNITARY_STAGE,
     SatMachine,
+    collapse,
     decode_sat_input,
     encode_sat_input,
     initial_configuration,
@@ -57,6 +61,7 @@ from satchaos.sat import (
     instance_from_ints,
     parse_dimacs,
 )
+from test_acceptance import EDGE_INSTANCES, _distinct_var_clauses
 
 WORKED = parse_dimacs("p cnf 3 3\n1 2 -3 0\n3 -2 0\n1 -2 -3 0\n")
 WORKED_ENCODING = "000XC_S110Y001C_EC_S001Y010C_EC_S100Y011C_E"
@@ -195,6 +200,16 @@ def test_halting_is_absorbing():
     before = halting_probability(rho, finals)
     after = halting_probability(decohere(step(psi, t, finals)), finals)
     assert before == after == 1.0
+
+
+def test_halted_branch_adds_to_a_branch_that_halts_onto_it():
+    t = _counter_table()
+    finals = frozenset({"done"})
+    halted = make_configuration("done", [{0: "1"}], [1])
+    halting = halted.with_state("scan")  # reads a blank and enters "done" in place
+    for order in ((halted, 0.6), (halting, 0.8)), ((halting, 0.8), (halted, 0.6)):
+        out = step(ConfigSuperposition(dict(order)), t, finals)
+        assert out.branches == {halted: pytest.approx(1.4, abs=1e-15)}
 
 
 def test_destructive_interference_prunes_exactly():
@@ -477,3 +492,66 @@ def test_cross_backend_weight_agreement():
         assert machine_run.weights_raw[1] == pytest.approx(
             circuit_result.q_squared, abs=1e-9
         )
+
+
+# --- the collapse as one weighted pass ----------------------------------------
+
+def test_collapse_tables_are_deterministic():
+    """The premise of stepping weights: every erase and handoff row is one
+    target with amplitude 1, so a step moves a weight without squaring it."""
+    for phase in (ERASE, HANDOFF):
+        assert check_wellformed(phase.delta).deterministic, phase.name
+
+
+def _unitary_stage(inst):
+    machine = sat_machine(inst.num_vars)
+    psi = ConfigSuperposition.pure(initial_configuration(machine, inst))
+    for name in UNITARY_STAGE:
+        phase = machine.phase(name)
+        psi, _ = run_phase(rebase(psi, phase.entry), phase)
+    return machine, psi
+
+
+def _per_component_collapse(machine, psi):
+    """Reference: measure, erase and hand off each branch alone, then merge."""
+    collapsed = []
+    for weight, comp in decohere(psi).components:
+        for name in COLLAPSE_STAGE:
+            phase = machine.phase(name)
+            comp, _ = run_phase(rebase(comp, phase.entry), phase)
+        collapsed.append((weight, comp))
+    merged = merge_components(MixedConfiguration(tuple(collapsed)))
+    return {next(iter(comp.branches)): weight for weight, comp in merged.components}
+
+
+def _collapse_corpus():
+    rng = random.Random(20261018)
+    corpus = []
+    for num_vars in (1, 2, 3):
+        pool = _distinct_var_clauses(num_vars)
+        for num_clauses in (1, 2, 3):
+            corpus += [
+                instance_from_ints(num_vars, [rng.choice(pool) for _ in range(num_clauses)])
+                for _ in range(20)
+            ]
+    opposite_phase = instance_from_ints(2, [[1, 2], [-1, -2]])  # criterion 7's pair
+    return corpus + list(EDGE_INSTANCES) + [WORKED, opposite_phase]
+
+
+def test_one_pass_collapse_matches_per_component_reference():
+    for inst in _collapse_corpus():
+        machine, psi = _unitary_stage(inst)
+        reference = _per_component_collapse(machine, psi)
+        one_pass = collapse(psi, machine).branches
+        assert one_pass.keys() == reference.keys(), inst
+        assert len(one_pass) <= 2, inst
+        for config, weight in one_pass.items():
+            assert abs(weight - reference[config]) <= 1e-12, inst
+
+
+def test_collapse_certifies_the_weights_sum_to_one():
+    machine, psi = _unitary_stage(WORKED)
+    assert sum(collapse(psi, machine).branches.values()) == pytest.approx(1.0, abs=1e-12)
+    drifted = ConfigSuperposition({c: a * (1 + 1e-9) for c, a in psi.branches.items()})
+    with pytest.raises(ArithmeticError, match="trace-preserving"):
+        collapse(drifted, machine)

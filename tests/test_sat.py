@@ -181,3 +181,35 @@ def test_satisfying_indices_match_eval(data):
     for index in range(1 << n):
         bits = assignment_from_index(n, index)
         assert (index in indices) == bool(eval_instance(inst, bits))
+
+
+# Free text; lines of DIMACS tokens in any order; and a header over clause
+# lines with such a line after them, so that a good share of inputs parse.
+dimacs_tokens = st.sampled_from(
+    ["p", "cnf", "c", "%", "0", "-0", "00", "1", "-1", "+2", "2", "-2", "3", "-3",
+     "5", "4294967296", "x", "1.5", "\t", "p cnf 2 1", "p cnf 0 0"]
+)
+dimacs_lines = st.lists(dimacs_tokens, max_size=6).map(" ".join)
+clause_lines = st.lists(st.sampled_from([1, -1, 2, -2, 3, -3]), min_size=1, max_size=3).map(
+    lambda lits: " ".join(map(str, lits + [0]))
+)
+dimacs_soup = st.one_of(
+    st.text(max_size=80),
+    st.lists(st.one_of(dimacs_lines, st.text(max_size=10)), max_size=8).map("\n".join),
+    st.tuples(
+        st.integers(0, 3),
+        st.lists(clause_lines, min_size=1, max_size=4),
+        st.lists(dimacs_lines, max_size=1),
+    ).map(lambda parts: "\n".join([f"p cnf {parts[0]} {len(parts[1])}", *parts[1], *parts[2]])),
+)
+
+
+@given(dimacs_soup)
+@settings(max_examples=1000, deadline=None)
+def test_any_text_parses_or_raises_dimacs_error(text):
+    try:
+        inst = parse_dimacs(text)
+    except DimacsError:
+        return
+    assert inst.num_vars >= 1 and inst.num_clauses >= 1
+    assert parse_dimacs(to_dimacs(inst)) == inst
