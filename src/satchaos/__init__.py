@@ -11,8 +11,9 @@ Three cooperating engines:
   program: unitary stage, measurement/erasure channel, counter-bounded
   detection loop (:mod:`satchaos.gqtm`).
 
-Both backends agree with a brute-force model counter to float precision; the
-``satchaos`` command line exposes solve/trace/verify/sweep workflows.
+Both backends agree with a brute-force model counter to float precision.
+:func:`solve` runs the whole pipeline on either one; the ``satchaos`` command
+line exposes solve/trace/verify/sweep workflows.
 """
 
 from .amplifier import (
@@ -29,6 +30,7 @@ from .circuit import CircuitLayout, CircuitRun, build_circuit, layout, run, sat_
 from .config import GuardExceeded
 from .gates import GateKind, PlacedGate, decompose, gate_matrix, placed
 from .gqtm import GqtmRun, check_wellformed, dump_transition, run_sat_gqtm, sat_machine
+from .pipeline import SolveReport, solve
 from .quantum import StateVector, apply_placed_gate, apply_sequence, basis_state
 from .sat import (
     Clause,
@@ -58,6 +60,7 @@ __all__ = [
     "LogisticParams",
     "PlacedGate",
     "SatInstance",
+    "SolveReport",
     "StateVector",
     "amplify_detect",
     "apply_placed_gate",
@@ -83,6 +86,7 @@ __all__ = [
     "sat_machine",
     "satisfying_indices",
     "snap_dyadic",
+    "solve",
     "sweep_crossing_bounds",
     "to_dimacs",
     "__version__",

@@ -27,30 +27,10 @@ class LogisticParams:
             raise ValueError(f"threshold must be in (0, 1), got {self.threshold}")
 
 
-@dataclass(frozen=True)
-class QubitDensity:
-    """Diagonal one-qubit state, stored as the |1⟩-population."""
-
-    p1: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.p1 <= 1.0:
-            raise ValueError(f"population must be in [0, 1], got {self.p1}")
-
-    @property
-    def p0(self) -> float:
-        return 1.0 - self.p1
-
-
 def logistic_step(x: float, a: float = DEFAULT_LOGISTIC_A) -> float:
     if not 0.0 <= x <= 1.0:
         raise ValueError(f"logistic map input must be in [0, 1], got {x}")
     return a * x * (1.0 - x)
-
-
-def amplifier_channel(rho: QubitDensity, params: LogisticParams = LogisticParams()) -> QubitDensity:
-    """One amplification: the |1⟩-population moves through the logistic map."""
-    return QubitDensity(logistic_step(rho.p1, params.a))
 
 
 def logistic_trajectory(x0: float, steps: int, a: float = DEFAULT_LOGISTIC_A,

@@ -14,11 +14,9 @@ import argparse
 import functools
 import json
 import sys
-import time
 from pathlib import Path
 
-from .amplifier import LogisticParams, amplify_detect, snap_dyadic, sweep_crossing_bounds
-from .circuit import run as circuit_run
+from .amplifier import LogisticParams, sweep_crossing_bounds
 from .config import (
     DEFAULT_LOGISTIC_A,
     DEFAULT_MAX_ENUM_VARS,
@@ -26,8 +24,8 @@ from .config import (
     DEFAULT_THRESHOLD,
     GuardExceeded,
 )
-from .gqtm.program import run_sat_gqtm
-from .sat import DimacsError, count_models, parse_dimacs
+from .pipeline import BACKENDS, SolveReport, solve
+from .sat import count_models, parse_dimacs
 from .verify import DEFAULT_SEED, SUITES
 
 EXIT_OK = 0
@@ -50,22 +48,31 @@ def _parse_range(text: str) -> tuple[int, int]:
     return bounds
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit with EXIT_INPUT; argparse's own 2 is the guard-refusal code."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
+
+
 def _add_run_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("path", help="DIMACS CNF file")
-    sub.add_argument("--backend", choices=("circuit", "gqtm"), default="circuit")
+    sub.add_argument("--backend", choices=BACKENDS, default="circuit")
     sub.add_argument("--a", type=float, default=DEFAULT_LOGISTIC_A,
                      help="logistic parameter (default %(default)s)")
     sub.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD,
                      help="detection threshold (default %(default)s)")
-    sub.add_argument("--max-qubits", type=int, default=DEFAULT_MAX_QUBITS,
-                     help="refuse circuits beyond this register size")
+    sub.add_argument("--max-qubits", type=int,
+                     help="refuse circuits beyond this register size "
+                          f"(circuit backend only, default {DEFAULT_MAX_QUBITS})")
     sub.add_argument("--deterministic", action="store_true",
                      help="omit timings so identical flags give identical bytes")
 
 
 @functools.cache  # built on first use, then reused by every main() call
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="satchaos",
         description="Chaos-amplified SAT: circuit and machine backends, "
                     "logistic detection, verification suites.",
@@ -103,113 +110,55 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _emit(text: str, path: str | None) -> None:
-    if path:
-        Path(path).write_text(text)
-    else:
+    if not path:
         sys.stdout.write(text)
+        return
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise ValueError(f"cannot write {path!r}: {exc.strerror}") from exc
 
 
 def _load_instance(path: str):
-    return parse_dimacs(Path(path).read_text())
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise ValueError(f"cannot read {path!r}: {exc.strerror}") from exc
+    return parse_dimacs(text)
 
 
-def _run_backend(inst, args):
-    """Dispatch to a backend; returns (report fields, snapped q², timings)."""
-    params = LogisticParams(args.a, args.threshold)
-    timings: dict[str, float] = {}
-    if args.backend == "circuit":
-        t0 = time.perf_counter()
-        result = circuit_run(inst, max_qubits=args.max_qubits)
-        timings["run_s"] = time.perf_counter() - t0
-        q_squared, _ = snap_dyadic(result.q_squared, inst.num_vars)
-        t0 = time.perf_counter()
-        trace = amplify_detect(q_squared, inst.num_vars, params)
-        timings["amplify_s"] = time.perf_counter() - t0
-        lay = result.layout
-        extra = {"gate_counts": result.gate_counts, "machine": None}
-        decision = trace.decision
-    else:
-        t0 = time.perf_counter()
-        machine_run = run_sat_gqtm(inst, params)
-        timings["run_s"] = time.perf_counter() - t0
-        timings["amplify_s"] = 0.0  # the machine loop amplifies inline
-        q_squared = machine_run.q_squared
-        trace = machine_run.trace
-        from .circuit import layout as layout_fn
-
-        lay = layout_fn(inst)
-        extra = {
-            "gate_counts": None,
-            "machine": {
-                "branch_count": machine_run.branch_count,
-                "unitary_steps": machine_run.unitary_steps,
-            },
-        }
-        decision = machine_run.decision
-    layout_echo = {
-        "s": list(lay.s),
-        "s_f": lay.s_f,
-        "mu": lay.mu,
-        "single_clause": lay.single_clause,
-        "total_qubits": lay.total_qubits,
-    }
-    return decision, q_squared, trace, layout_echo, extra, params, timings
+def _solve(inst, args) -> SolveReport:
+    if args.max_qubits is not None and args.backend != "circuit":
+        raise ValueError("--max-qubits applies to the circuit backend only")
+    max_qubits = DEFAULT_MAX_QUBITS if args.max_qubits is None else args.max_qubits
+    return solve(inst, args.backend, LogisticParams(args.a, args.threshold), max_qubits)
 
 
 def cmd_solve(args) -> int:
     inst = _load_instance(args.path)
-    t0 = time.perf_counter()
-    decision, q_squared, trace, layout_echo, extra, params, timings = _run_backend(inst, args)
-    timings["total_s"] = time.perf_counter() - t0
-    r_oracle = (
+    report = _solve(inst, args).to_dict()
+    report["r_oracle"] = (
         count_models(inst) if inst.num_vars <= DEFAULT_MAX_ENUM_VARS else None
     )
-    bounds = trace.bounds
-    report = {
-        "n": inst.num_vars,
-        "m": inst.num_clauses,
-        "backend": args.backend,
-        "decision": decision,
-        "q_squared": q_squared,
-        "r_oracle": r_oracle,
-        "layout": layout_echo,
-        "amplifier": {
-            "a": params.a,
-            "threshold": params.threshold,
-            "k_star": trace.first_crossing,
-            "k_low": None if bounds is None else bounds[0],
-            "k_high": None if bounds is None else bounds[1],
-            "iterations": len(trace.x) - 1,
-            "decision": trace.decision,
-        },
-        "warnings": list(inst.warnings),
-        "timings": None if args.deterministic else timings,
-        **extra,
-    }
+    if args.deterministic:
+        report["timings"] = None
     _emit(json.dumps(report, indent=2, sort_keys=True) + "\n", args.json)
     return EXIT_OK
 
 
 def cmd_trace(args) -> int:
-    inst = _load_instance(args.path)
-    _, _, trace, _, _, _, _ = _run_backend(inst, args)
-    _emit(trace.to_csv(), args.csv)
+    report = _solve(_load_instance(args.path), args)
+    _emit(report.trace.to_csv(), args.csv)
     return EXIT_OK
 
 
 def cmd_verify(args) -> int:
     names = sorted(SUITES) if args.suite == "all" else [args.suite]
-    results = []
-    for name in names:
-        if name == "gates":
-            results.append(SUITES[name](seed=args.seed))
-        elif name == "bounds":
-            results.append(SUITES[name](n_lo=args.n[0], n_hi=args.n[1]))
-        elif name == "oracle":
-            results.append(SUITES[name](count=args.count, max_n=args.max_n,
-                                        seed=args.seed))
-        else:
-            results.append(SUITES[name](seed=args.seed))
+    kwargs = {
+        "oracle": {"count": args.count, "max_n": args.max_n, "seed": args.seed},
+        "bounds": {"n_lo": args.n[0], "n_hi": args.n[1]},
+    }
+    results = [SUITES[name](**kwargs.get(name, {"seed": args.seed})) for name in names]
     report = {
         "ok": all(r.ok for r in results),
         "suites": [
@@ -225,7 +174,7 @@ def cmd_verify(args) -> int:
         ],
     }
     if args.json:
-        Path(args.json).write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+        _emit(json.dumps(report, indent=2, sort_keys=True) + "\n", args.json)
     for r in results:
         print(r.summary())
         for finding in r.findings:
@@ -270,16 +219,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except FileNotFoundError as exc:
-        print(f"error: cannot read {exc.filename!r}", file=sys.stderr)
-        return EXIT_INPUT
-    except DimacsError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     except GuardExceeded as exc:
         print(f"guard refusal: {exc}", file=sys.stderr)
         return EXIT_GUARD
-    except ValueError as exc:
+    except ValueError as exc:  # DimacsError, bad parameters, unreadable paths
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (ArithmeticError, RuntimeError) as exc:  # GuardExceeded is caught above

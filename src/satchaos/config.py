@@ -9,7 +9,6 @@ SINGLE_OP_ATOL = 1e-12      # one gate application / one channel step / linearit
 ACCUMULATED_ATOL = 1e-10    # norm budget for a whole pipeline, scaled by op count
 UNITARITY_ATOL = 1e-14      # max-abs deviation of U†U from the identity
 AMPLITUDE_PRUNE_EPS = 1e-15 # machine branches below this magnitude are dropped
-STATE_DUMP_EPS = 1e-14      # amplitudes below this are omitted from state dumps
 SAT_DECISION_EPS = 1e-12    # q² above this counts as nonzero (exact decision)
 INTEGRALITY_ATOL = 1e-6     # q²·2^n must sit this close to an integer
 

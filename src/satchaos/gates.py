@@ -143,29 +143,3 @@ def hadamard_layer(num_qubits: int, count: int) -> GateSequence:
     if count < 0 or count > num_qubits:
         raise ValueError(f"cannot place {count} H gates on {num_qubits} qubits")
     return tuple(placed(GateKind.H, k) for k in range(1, count + 1))
-
-
-def sequence_to_text(gates) -> str:
-    """One gate per line: KIND p1 p2 p3."""
-    return "\n".join(
-        f"{g.kind.value} {' '.join(map(str, g.positions))}" for g in gates
-    ) + ("\n" if gates else "")
-
-
-def sequence_from_text(text: str) -> GateSequence:
-    gates = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        parts = line.split()
-        try:
-            kind = GateKind(parts[0])
-        except ValueError:
-            raise ValueError(f"unknown gate kind {parts[0]!r} on line {lineno}") from None
-        try:
-            positions = tuple(int(p) for p in parts[1:])
-        except ValueError:
-            raise ValueError(f"non-integer position on line {lineno}") from None
-        gates.append(PlacedGate(kind, positions))
-    return tuple(gates)

@@ -398,11 +398,6 @@ def merge_components(mixed: MixedConfiguration) -> MixedConfiguration:
     )
 
 
-def halting_probability(rho: MixedConfiguration, final_states: frozenset[str] | set[str]) -> float:
-    """λ-weighted squared-amplitude mass on branches in a final state."""
-    return sum(w * psi.state_mass(final_states) for w, psi in rho.components)
-
-
 # --- well-formedness -------------------------------------------------------
 
 @dataclass(frozen=True)

@@ -338,7 +338,6 @@ INCREMENT = phase_increment()
 
 UNITARY_STAGE = ("setup", "dft", "or_eval", "and_eval")
 COLLAPSE_STAGE = ("erase", "handoff")
-LOOP_STAGE = ("compare", "increment")
 
 
 @dataclass(frozen=True)
@@ -385,13 +384,6 @@ def sat_machine(num_vars: int) -> SatMachine:
     )
 
 
-def sat_program(num_vars: int) -> tuple[dict[str, TransitionFunction], tuple[tuple[str, ...], ...]]:
-    """Per-phase transition tables plus the stage schedule."""
-    machine = sat_machine(num_vars)
-    tables = {p.name: p.delta for p in machine.phases}
-    return tables, (UNITARY_STAGE, COLLAPSE_STAGE, LOOP_STAGE)
-
-
 def initial_configuration(machine: SatMachine, inst: SatInstance) -> Configuration:
     symbols = encode_sat_input(inst)
     track0 = {i: s for i, s in enumerate(symbols)}
@@ -414,7 +406,6 @@ class GqtmRun:
     weights_raw: tuple[float, float]  # (result-0 weight, result-1 weight) pre-snap
     branch_count: int
     unitary_steps: int
-    machine: SatMachine
 
 
 class _JsonlWriter:
@@ -553,7 +544,7 @@ def run_sat_gqtm(inst: SatInstance, params: LogisticParams = LogisticParams(), *
     trace = AmplifierTrace(tuple(xs), k_star, decision, bounds, params)
     return GqtmRun(
         decision, k_star, trace, q_squared, r_estimate,
-        (w0_raw, w1_raw), branch_count, steps, machine,
+        (w0_raw, w1_raw), branch_count, steps,
     )
 
 

@@ -12,12 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import (
-    ACCUMULATED_ATOL,
-    DEFAULT_MAX_QUBITS,
-    GuardExceeded,
-    STATE_DUMP_EPS,
-)
+from .config import ACCUMULATED_ATOL, DEFAULT_MAX_QUBITS, GuardExceeded
 from .gates import GATE_ARITY, PlacedGate, gate_matrix
 
 
@@ -102,36 +97,3 @@ def probability_qubit_one(state: StateVector, qubit: int) -> float:
     tensor = state.amplitudes.reshape([2] * state.num_qubits)
     slice_one = np.take(tensor, 1, axis=axis)
     return float(np.sum(np.abs(slice_one) ** 2))
-
-
-@dataclass(frozen=True)
-class MeasurementOutcome:
-    probability: float
-    post_state: StateVector | None  # None when the outcome has ~zero weight
-
-
-def project_qubit(state: StateVector, qubit: int, outcome: int) -> MeasurementOutcome:
-    """Project onto qubit == outcome and renormalize."""
-    if outcome not in (0, 1):
-        raise ValueError("outcome must be 0 or 1")
-    prob = probability_qubit_one(state, qubit)
-    if outcome == 0:
-        prob = 1.0 - prob
-    if prob < 1e-15:
-        return MeasurementOutcome(probability=max(prob, 0.0), post_state=None)
-    axis = qubit_axis(state.num_qubits, qubit)
-    tensor = state.amplitudes.reshape([2] * state.num_qubits).copy()
-    index = [slice(None)] * state.num_qubits
-    index[axis] = 1 - outcome
-    tensor[tuple(index)] = 0.0
-    post = tensor.reshape(-1) / np.sqrt(prob)
-    return MeasurementOutcome(probability=prob, post_state=StateVector(state.num_qubits, post))
-
-
-def state_to_csv(state: StateVector, threshold: float = STATE_DUMP_EPS) -> str:
-    """CSV dump (index,real,imag) of amplitudes with magnitude above threshold."""
-    lines = ["index,real,imag"]
-    amps = state.amplitudes
-    for i in np.flatnonzero(np.abs(amps) > threshold):
-        lines.append(f"{int(i)},{float(amps[i].real)!r},{float(amps[i].imag)!r}")
-    return "\n".join(lines) + "\n"

@@ -229,12 +229,6 @@ def assignment_from_index(num_vars: int, index: int) -> Assignment:
     return tuple((index >> k) & 1 for k in range(num_vars))
 
 
-def all_assignments(num_vars: int):
-    """Iterate variable-1-fastest, i.e. in basis-index order."""
-    for index in range(1 << num_vars):
-        yield assignment_from_index(num_vars, index)
-
-
 def satisfying_indices(inst: SatInstance, max_vars: int = DEFAULT_MAX_ENUM_VARS) -> np.ndarray:
     """Indices (= assignments as integers) that satisfy the instance.
 

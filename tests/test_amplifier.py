@@ -6,8 +6,6 @@ from satchaos.amplifier import (
     AmplifierTrace,
     CrossingRow,
     LogisticParams,
-    QubitDensity,
-    amplifier_channel,
     amplify_detect,
     iteration_window,
     k_bounds,
@@ -49,14 +47,6 @@ def test_trajectory_extended_precision_crossing():
     precise = logistic_trajectory(2.0 ** -10, 8, precision_bits=250)
     assert next(k for k, x in enumerate(doubles) if x > 0.5) == 5
     assert next(k for k, x in enumerate(precise) if x > 0.5) == 5
-
-
-def test_qubit_density():
-    rho = QubitDensity(0.25)
-    assert rho.p0 == 0.75
-    with pytest.raises(ValueError):
-        QubitDensity(1.25)
-    assert amplifier_channel(rho).p1 == logistic_step(0.25)
 
 
 def test_iteration_window():

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-import satchaos.cli
+import satchaos.pipeline
 from satchaos.amplifier import iteration_window, k_bounds
 from satchaos.cli import (
     EXIT_FINDINGS,
@@ -136,6 +136,19 @@ def test_missing_file(capsys):
     assert "cannot read" in capsys.readouterr().err
 
 
+def test_unreadable_path_names_it(tmp_path, capsys):
+    assert main(["solve", str(tmp_path)]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot read") and repr(str(tmp_path)) in err
+
+
+def test_unwritable_report_path_names_it(worked_path, tmp_path, capsys):
+    out = str(tmp_path / "missing" / "report.json")
+    assert main(["solve", worked_path, "--json", out]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write") and repr(out) in err
+
+
 def test_bad_dimacs_reports_line(tmp_path, capsys):
     path = tmp_path / "bad.cnf"
     path.write_text("p cnf 2 1\n1 x 0\n")
@@ -164,6 +177,14 @@ def test_machine_guard_refusal(tmp_path, capsys):
     assert "4 variables" in capsys.readouterr().err
 
 
+def test_max_qubits_is_refused_on_the_machine(worked_path, capsys):
+    argv = ["solve", worked_path, "--backend", "gqtm", "--max-qubits", "30"]
+    assert main(argv) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --max-qubits applies to the circuit backend only\n"
+
+
 @pytest.mark.parametrize("exc", [
     ArithmeticError("norm drifted to 1.5 during the unitary stage"),
     RuntimeError("workspace tracks not blank after erasure"),
@@ -173,7 +194,7 @@ def test_invariant_break_exits_internal(worked_path, monkeypatch, capsys, exc):
     def broken(*args, **kwargs):
         raise exc
 
-    monkeypatch.setattr(satchaos.cli, "run_sat_gqtm", broken)
+    monkeypatch.setattr(satchaos.pipeline, "run_sat_gqtm", broken)
     assert main(["solve", worked_path, "--backend", "gqtm"]) == EXIT_INTERNAL
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -190,6 +211,25 @@ def test_run_commands_take_no_seed(worked_path, command):
 def test_bad_range_argument(worked_path):
     with pytest.raises(SystemExit):
         main(["sweep", "--n", "5"])
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--n", "5"],
+    ["solve", "x.cnf", "--seed", "1"],
+    ["bogus"],
+])
+def test_usage_errors_exit_input(argv, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == EXIT_INPUT
+    assert "error:" in capsys.readouterr().err
+
+
+def test_help_exits_ok(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["solve", "--help"])
+    assert excinfo.value.code == EXIT_OK
+    assert "--backend" in capsys.readouterr().out
 
 
 # --- sweep -------------------------------------------------------------------

@@ -11,8 +11,6 @@ from satchaos.gates import (
     placed,
     polarized_copy,
     polarized_or,
-    sequence_from_text,
-    sequence_to_text,
 )
 from satchaos.quantum import apply_sequence, basis_state
 
@@ -115,17 +113,6 @@ def test_hadamard_layer():
     assert hadamard_layer(4, 0) == ()
     with pytest.raises(ValueError):
         hadamard_layer(2, 3)
-
-
-def test_sequence_text_roundtrip():
-    seq = (placed(GateKind.H, 1), placed(GateKind.OR, 1, 2, 3))
-    text = sequence_to_text(seq)
-    assert sequence_from_text(text) == seq
-    assert sequence_from_text("") == ()
-    with pytest.raises(ValueError, match="unknown gate kind"):
-        sequence_from_text("NAND 1 2 3\n")
-    with pytest.raises(ValueError, match="non-integer"):
-        sequence_from_text("CN 1 x\n")
 
 
 def test_cached_matrices_are_readonly():

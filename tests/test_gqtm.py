@@ -22,7 +22,6 @@ from satchaos.gqtm.machine import (
     check_wellformed,
     decohere,
     dump_transition,
-    halting_probability,
     make_configuration,
     merge_components,
     rebase,
@@ -52,7 +51,6 @@ from satchaos.gqtm.program import (
     run_classical_branch,
     run_sat_gqtm,
     sat_machine,
-    sat_program,
 )
 from satchaos.sat import (
     count_models,
@@ -196,9 +194,8 @@ def test_halting_is_absorbing():
     finals = frozenset({"done"})
     config = make_configuration("done", [{0: "1"}], [0])
     psi = ConfigSuperposition.pure(config)
-    rho = decohere(psi)
-    before = halting_probability(rho, finals)
-    after = halting_probability(decohere(step(psi, t, finals)), finals)
+    before = psi.state_mass(finals)
+    after = step(psi, t, finals).state_mass(finals)
     assert before == after == 1.0
 
 
@@ -313,15 +310,6 @@ def test_decode_inverts_encode():
 def test_decode_rejects_malformed(symbols):
     with pytest.raises(ValueError):
         decode_sat_input(symbols)
-
-
-def test_sat_program_shape():
-    tables, schedule = sat_program(2)
-    assert set(tables) == {
-        "setup", "dft", "or_eval", "and_eval", "erase", "handoff",
-        "increment", "compare",
-    }
-    assert schedule == (UNITARY_STAGE, COLLAPSE_STAGE, ("compare", "increment"))
 
 
 def test_machine_metadata():

@@ -1,0 +1,40 @@
+import pytest
+
+import satchaos
+import satchaos.gqtm
+from satchaos import GuardExceeded, parse_dimacs, solve
+from satchaos.verify import EDGE_INSTANCES
+
+WORKED = parse_dimacs("p cnf 3 3\n1 2 -3 0\n3 -2 0\n1 -2 -3 0\n")
+
+
+@pytest.mark.parametrize(
+    "inst", [WORKED] + [inst for _, inst in EDGE_INSTANCES],
+    ids=["worked"] + [name for name, _ in EDGE_INSTANCES],
+)
+def test_backends_report_the_same_run(inst):
+    circuit, machine = solve(inst, "circuit"), solve(inst, "gqtm")
+    assert (circuit.backend, machine.backend) == ("circuit", "gqtm")
+    assert circuit.decision == machine.decision == circuit.trace.decision
+    assert circuit.q_squared == machine.q_squared
+    assert circuit.trace.x == machine.trace.x
+    assert circuit.layout == machine.layout
+    assert (circuit.n, circuit.m) == (machine.n, machine.m) == (inst.num_vars, inst.num_clauses)
+    assert circuit.machine is None and machine.gate_counts is None
+    assert sum(circuit.gate_counts.values()) > 0
+    assert machine.machine["branch_count"] >= 1
+
+
+def test_circuit_guard():
+    with pytest.raises(GuardExceeded):
+        solve(WORKED, max_qubits=9)
+
+
+def test_unknown_backend():
+    with pytest.raises(ValueError, match="unknown backend"):
+        solve(WORKED, "dense")
+
+
+@pytest.mark.parametrize("module", [satchaos, satchaos.gqtm])
+def test_every_exported_name_resolves(module):
+    assert [name for name in module.__all__ if not hasattr(module, name)] == []

@@ -9,9 +9,7 @@ from satchaos.quantum import (
     apply_sequence,
     basis_state,
     probability_qubit_one,
-    project_qubit,
     qubit_axis,
-    state_to_csv,
 )
 
 SQRT_HALF = 1.0 / np.sqrt(2.0)
@@ -88,20 +86,3 @@ def test_probability_qubit_one():
     assert probability_qubit_one(one, 3) == 1.0
 
 
-def test_project_qubit_both_outcomes():
-    state = apply_placed_gate(basis_state(2, 0), placed(GateKind.H, 1))
-    kept = project_qubit(state, 1, 1)
-    assert kept.probability == pytest.approx(0.5, abs=1e-15)
-    assert np.allclose(kept.post_state.amplitudes, [0, 1, 0, 0], atol=1e-12)
-    gone = project_qubit(basis_state(2, 0), 1, 1)
-    assert gone.probability == 0.0 and gone.post_state is None
-    with pytest.raises(ValueError):
-        project_qubit(state, 1, 2)
-
-
-def test_state_to_csv_drops_dust():
-    amps = np.zeros(4, dtype=np.complex128)
-    amps[0] = 1.0
-    amps[3] = 1e-16  # below the dump threshold
-    text = state_to_csv(StateVector(2, amps))
-    assert text.splitlines() == ["index,real,imag", "0,1.0,0.0"]
