@@ -118,8 +118,7 @@ class AmplifierTrace:
 
 
 def amplify_detect(q_squared: float, n: int,
-                   params: LogisticParams = LogisticParams(),
-                   max_iters: int | None = None) -> AmplifierTrace:
+                   params: LogisticParams = LogisticParams()) -> AmplifierTrace:
     """Iterate from x_0 = q² until the threshold is crossed or the window ends.
 
     An exactly zero seed is absorbed (every iterate is bitwise 0.0): UNSAT.
@@ -131,8 +130,6 @@ def amplify_detect(q_squared: float, n: int,
     if not 0.0 <= q_squared <= 1.0:
         raise ValueError(f"q² must be in [0, 1], got {q_squared}")
     window = iteration_window(n)
-    if max_iters is not None:
-        window = min(window, max_iters)
     r_estimate = round(q_squared * (1 << n))  # exact for pipeline seeds
     bounds = k_bounds(n, r_estimate, params.a) if r_estimate >= 1 else None
 

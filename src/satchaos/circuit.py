@@ -18,12 +18,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .config import (
-    DEFAULT_MAX_QUBITS,
-    GuardExceeded,
-    INTEGRALITY_ATOL,
-    SAT_DECISION_EPS,
-)
+from .config import GuardExceeded, INTEGRALITY_ATOL, MAX_PLANE_BYTES, SAT_DECISION_EPS
 from .gates import (
     _TARGET_FLIP,
     GateKind,
@@ -193,12 +188,18 @@ def bit_planes(gates, num_vars: int, num_qubits: int) -> list[int]:
     return planes
 
 
-def run(inst: SatInstance, max_qubits: int = DEFAULT_MAX_QUBITS) -> CircuitRun:
-    """Simulate the circuit from |0...0⟩ and read q² off the result qubit."""
+def run(inst: SatInstance) -> CircuitRun:
+    """Simulate the circuit from |0...0⟩ and read q² off the result qubit.
+
+    Refuses before building anything when the planes, one 2^n-bit integer
+    per qubit, would exceed ``MAX_PLANE_BYTES``.
+    """
     lay = layout(inst)
-    if lay.total_qubits > max_qubits:
+    plane_bytes = lay.total_qubits * (1 << inst.num_vars) // 8
+    if plane_bytes > MAX_PLANE_BYTES:
         raise GuardExceeded(
-            f"instance needs {lay.total_qubits} qubits, guard is {max_qubits}"
+            f"{lay.total_qubits} qubits at n = {inst.num_vars} need {plane_bytes} "
+            f"bytes of bit planes, guard is {MAX_PLANE_BYTES}"
         )
     gates = build_circuit(inst, lay)
     planes = bit_planes(gates, inst.num_vars, lay.total_qubits)

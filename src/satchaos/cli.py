@@ -17,14 +17,8 @@ import sys
 from pathlib import Path
 
 from .amplifier import LogisticParams, sweep_crossing_bounds
-from .config import (
-    DEFAULT_LOGISTIC_A,
-    DEFAULT_MAX_ENUM_VARS,
-    DEFAULT_MAX_QUBITS,
-    DEFAULT_THRESHOLD,
-    GuardExceeded,
-)
-from .pipeline import BACKENDS, SolveReport, solve
+from .config import DEFAULT_LOGISTIC_A, DEFAULT_THRESHOLD, GuardExceeded
+from .pipeline import BACKENDS, solve
 from .sat import count_models, parse_dimacs
 from .verify import DEFAULT_SEED, SUITES
 
@@ -63,9 +57,6 @@ def _add_run_flags(sub: argparse.ArgumentParser) -> None:
                      help="logistic parameter (default %(default)s)")
     sub.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD,
                      help="detection threshold (default %(default)s)")
-    sub.add_argument("--max-qubits", type=int,
-                     help="refuse circuits beyond this register size "
-                          f"(circuit backend only, default {DEFAULT_MAX_QUBITS})")
     sub.add_argument("--deterministic", action="store_true",
                      help="omit timings so identical flags give identical bytes")
 
@@ -127,19 +118,10 @@ def _load_instance(path: str):
     return parse_dimacs(text)
 
 
-def _solve(inst, args) -> SolveReport:
-    if args.max_qubits is not None and args.backend != "circuit":
-        raise ValueError("--max-qubits applies to the circuit backend only")
-    max_qubits = DEFAULT_MAX_QUBITS if args.max_qubits is None else args.max_qubits
-    return solve(inst, args.backend, LogisticParams(args.a, args.threshold), max_qubits)
-
-
 def cmd_solve(args) -> int:
     inst = _load_instance(args.path)
-    report = _solve(inst, args).to_dict()
-    report["r_oracle"] = (
-        count_models(inst) if inst.num_vars <= DEFAULT_MAX_ENUM_VARS else None
-    )
+    report = solve(inst, args.backend, LogisticParams(args.a, args.threshold)).to_dict()
+    report["r_oracle"] = count_models(inst)
     if args.deterministic:
         report["timings"] = None
     _emit(json.dumps(report, indent=2, sort_keys=True) + "\n", args.json)
@@ -147,7 +129,8 @@ def cmd_solve(args) -> int:
 
 
 def cmd_trace(args) -> int:
-    report = _solve(_load_instance(args.path), args)
+    report = solve(_load_instance(args.path), args.backend,
+                   LogisticParams(args.a, args.threshold))
     _emit(report.trace.to_csv(), args.csv)
     return EXIT_OK
 

@@ -12,8 +12,9 @@ AMPLITUDE_PRUNE_EPS = 1e-15 # machine branches below this magnitude are dropped
 SAT_DECISION_EPS = 1e-12    # q² above this counts as nonzero (exact decision)
 INTEGRALITY_ATOL = 1e-6     # q²·2^n must sit this close to an integer
 
-# Resource guards (refusals, not crashes).
-DEFAULT_MAX_QUBITS = 26     # 2^26 complex128 amplitudes is about 1 GiB
+# Resource guards (refusals, not crashes), each read by the engine it protects.
+MAX_PLANE_BYTES = 1 << 30   # circuit: one 2^n-bit plane per qubit, 1 GiB in all
+DEFAULT_MAX_QUBITS = 26     # dense reference: 2^26 complex128 amplitudes is 1 GiB
 DEFAULT_MAX_ENUM_VARS = 30  # brute-force assignment enumeration cap
 DEFAULT_MAX_MACHINE_VARS = 3  # full superposed machine runs (2^n branches)
 

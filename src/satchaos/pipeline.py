@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from .amplifier import AmplifierTrace, LogisticParams, amplify_detect, snap_dyadic
 from .circuit import CircuitLayout, layout
 from .circuit import run as circuit_run
-from .config import DEFAULT_MAX_QUBITS
 from .gqtm.program import run_sat_gqtm
 from .sat import SatInstance
 
@@ -72,19 +71,18 @@ class SolveReport:
 
 
 def solve(inst: SatInstance, backend: str = "circuit",
-          params: LogisticParams = LogisticParams(),
-          max_qubits: int = DEFAULT_MAX_QUBITS) -> SolveReport:
+          params: LogisticParams = LogisticParams()) -> SolveReport:
     """Decide ``inst`` on one backend.
 
-    ``max_qubits`` guards the circuit's register; the machine backend is
-    guarded on its variable count instead and does not read it. A guard
-    raises :class:`~satchaos.config.GuardExceeded`.
+    Each backend guards its own cost (the circuit its bit-plane bytes, the
+    machine its variable count) and raises
+    :class:`~satchaos.config.GuardExceeded` past it.
     """
     if backend not in BACKENDS:
         raise ValueError(f"unknown backend {backend!r}, expected one of {BACKENDS}")
     start = time.perf_counter()
     if backend == "circuit":
-        result = circuit_run(inst, max_qubits=max_qubits)
+        result = circuit_run(inst)
         run_s = time.perf_counter() - start
         q_squared, _ = snap_dyadic(result.q_squared, inst.num_vars)
         t0 = time.perf_counter()

@@ -34,13 +34,13 @@ class StateVector:
         return float(np.sum(np.abs(self.amplitudes) ** 2))
 
 
-def basis_state(num_qubits: int, index: int, max_qubits: int = DEFAULT_MAX_QUBITS) -> StateVector:
+def basis_state(num_qubits: int, index: int) -> StateVector:
     """|index⟩ on a register of num_qubits qubits."""
     if num_qubits < 1:
         raise ValueError("register needs at least one qubit")
-    if num_qubits > max_qubits:
+    if num_qubits > DEFAULT_MAX_QUBITS:
         raise GuardExceeded(
-            f"{num_qubits}-qubit register exceeds the guard of {max_qubits} qubits"
+            f"{num_qubits}-qubit register exceeds the guard of {DEFAULT_MAX_QUBITS} qubits"
         )
     if not 0 <= index < (1 << num_qubits):
         raise ValueError(f"basis index {index} out of range")

@@ -229,21 +229,25 @@ def assignment_from_index(num_vars: int, index: int) -> Assignment:
     return tuple((index >> k) & 1 for k in range(num_vars))
 
 
-def satisfying_indices(inst: SatInstance, max_vars: int = DEFAULT_MAX_ENUM_VARS) -> np.ndarray:
-    """Indices (= assignments as integers) that satisfy the instance.
+def _check_enum_guard(num_vars: int) -> None:
+    if num_vars > DEFAULT_MAX_ENUM_VARS:
+        raise GuardExceeded(
+            f"enumeration over {num_vars} variables exceeds the guard of "
+            f"{DEFAULT_MAX_ENUM_VARS}"
+        )
 
-    Vectorized over clause bitmasks, evaluated in bounded chunks. This path is
-    deliberately independent of eval_clause/eval_instance: it is the second
-    oracle the clause-wise evaluator is checked against.
+
+def _satisfied_chunks(inst: SatInstance):
+    """Yield (indices, satisfied mask) over all 2^n assignments, in bounded chunks.
+
+    Vectorized over clause bitmasks. This path is deliberately independent of
+    eval_clause/eval_instance: it is the second oracle the clause-wise
+    evaluator is checked against.
     """
     n = inst.num_vars
-    if n > max_vars:
-        raise GuardExceeded(
-            f"enumeration over {n} variables exceeds the guard of {max_vars}"
-        )
+    _check_enum_guard(n)
     masks = [c.masks() for c in inst.clauses]
     chunk = 1 << min(n, 20)
-    hits = []
     for start in range(0, 1 << n, chunk):
         a = np.arange(start, start + chunk, dtype=np.uint64)
         sat = np.ones(a.shape, dtype=bool)
@@ -252,21 +256,25 @@ def satisfying_indices(inst: SatInstance, max_vars: int = DEFAULT_MAX_ENUM_VARS)
             if neg:
                 clause_sat |= (~a & np.uint64(neg)) != 0
             sat &= clause_sat
-        hits.append(a[sat])
-    return np.concatenate(hits) if hits else np.empty(0, dtype=np.uint64)
+        yield a, sat
 
 
-def count_models(inst: SatInstance, max_vars: int = DEFAULT_MAX_ENUM_VARS) -> int:
-    """Number r of satisfying assignments, by exhaustive bit-mask enumeration."""
-    return int(satisfying_indices(inst, max_vars=max_vars).size)
+def satisfying_indices(inst: SatInstance) -> np.ndarray:
+    """Indices (= assignments as integers) that satisfy the instance."""
+    return np.concatenate([a[sat] for a, sat in _satisfied_chunks(inst)])
 
 
-def count_models_clausewise(inst: SatInstance, max_vars: int = DEFAULT_MAX_ENUM_VARS) -> int:
+def count_models(inst: SatInstance) -> int:
+    """Number r of satisfying assignments, by exhaustive bit-mask enumeration.
+
+    Counts chunk by chunk, so memory stays bounded however many models there are.
+    """
+    return sum(int(np.count_nonzero(sat)) for _, sat in _satisfied_chunks(inst))
+
+
+def count_models_clausewise(inst: SatInstance) -> int:
     """Same count via eval_instance over itertools.product; the slow twin."""
-    if inst.num_vars > max_vars:
-        raise GuardExceeded(
-            f"enumeration over {inst.num_vars} variables exceeds the guard of {max_vars}"
-        )
+    _check_enum_guard(inst.num_vars)
     return sum(
         eval_instance(inst, bits)
         for bits in itertools.product((0, 1), repeat=inst.num_vars)

@@ -17,10 +17,8 @@ import time
 from contextlib import contextmanager
 
 import numpy as np
-import pytest
 
 from satchaos.amplifier import (
-    LogisticParams,
     amplify_detect,
     logistic_step,
     snap_dyadic,

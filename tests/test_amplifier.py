@@ -3,7 +3,6 @@ import math
 import pytest
 
 from satchaos.amplifier import (
-    AmplifierTrace,
     CrossingRow,
     LogisticParams,
     amplify_detect,
@@ -91,7 +90,7 @@ def test_amplify_detect_tautology_crosses_at_zero():
 
 
 def test_amplify_detect_inconclusive_when_window_truncated():
-    trace = amplify_detect(0.25, 8, max_iters=0)
+    trace = amplify_detect(2.0**-60, 2)  # far too small to cross in n = 2's window
     assert trace.decision == "INCONCLUSIVE"
     assert trace.first_crossing is None
 

@@ -1,8 +1,9 @@
 import random
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
+import satchaos.circuit
 from satchaos.circuit import (
     bit_planes,
     build_circuit,
@@ -77,9 +78,21 @@ def test_duplicate_literals_later_in_clause():
     assert run(inst).q_squared == pytest.approx(0.75, abs=1e-12)
 
 
-def test_guard_refusal():
+def test_guard_refusal(monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("the guard must refuse before simulating")
+
+    monkeypatch.setattr(satchaos.circuit, "bit_planes", unreachable)
+    with pytest.raises(GuardExceeded, match="33 qubits at n = 30"):
+        run(instance_from_ints(30, [[1, 2, 3]]))  # 33 planes of 2^30 bits: 4.1 GiB
+
+
+def test_guard_boundary(monkeypatch):
+    monkeypatch.setattr(satchaos.circuit, "MAX_PLANE_BYTES", 10)  # 10 qubits x 2^3 bits
+    assert run(WORKED).q_squared == 0.5
+    monkeypatch.setattr(satchaos.circuit, "MAX_PLANE_BYTES", 9)
     with pytest.raises(GuardExceeded):
-        run(WORKED, max_qubits=9)
+        run(WORKED)
 
 
 def test_cascade_targets_use_dust_qubits_only():
@@ -142,7 +155,6 @@ cnfs = st.integers(1, 12).flatmap(
 @settings(max_examples=300, deadline=None)
 def test_run_counts_models_exactly(cnf):
     inst = instance_from_ints(*cnf)
-    assume(layout(inst).total_qubits <= 26)
     assert run(inst).q_squared * 2 ** inst.num_vars == count_models(inst)
 
 

@@ -1,10 +1,13 @@
 import json
+import random
 import re
 from pathlib import Path
 
 import pytest
 
+import satchaos.circuit
 import satchaos.pipeline
+import satchaos.verify
 from satchaos.amplifier import iteration_window, k_bounds
 from satchaos.cli import (
     EXIT_FINDINGS,
@@ -15,6 +18,7 @@ from satchaos.cli import (
     main,
 )
 from satchaos.gqtm import StuckConfigurationError
+from satchaos.sat import instance_from_ints, to_dimacs
 
 WORKED_CNF = "p cnf 3 3\n1 2 -3 0\n3 -2 0\n1 -2 -3 0\n"
 CONTRADICTION_CNF = "p cnf 1 2\n1 0\n-1 0\n"
@@ -165,9 +169,29 @@ def test_solve_accepts_satlib_trailer(tmp_path, capsys):
     assert report["m"] == 1 and report["r_oracle"] == 3
 
 
-def test_circuit_guard_refusal(worked_path, capsys):
-    assert main(["solve", worked_path, "--max-qubits", "9"]) == EXIT_GUARD
+def test_circuit_guard_refusal(tmp_path, monkeypatch, capsys):
+    def unreachable(*args):
+        raise AssertionError("the guard must refuse before simulating")
+
+    monkeypatch.setattr(satchaos.circuit, "bit_planes", unreachable)
+    path = tmp_path / "thirty.cnf"
+    path.write_text("p cnf 30 1\n1 2 3 0\n")  # 33 planes of 2^30 bits: 4.1 GiB
+    assert main(["solve", str(path)]) == EXIT_GUARD
     assert "guard refusal" in capsys.readouterr().err
+
+
+def test_wide_register_is_decided(tmp_path, capsys):
+    rng = random.Random(20)
+    clauses = [
+        [v if rng.random() < 0.5 else -v for v in rng.sample(range(1, 21), 3)]
+        for _ in range(80)
+    ]
+    path = tmp_path / "wide.cnf"
+    path.write_text(to_dimacs(instance_from_ints(20, clauses)))
+    assert main(["solve", str(path), "--deterministic"]) == EXIT_OK
+    report = json.loads(capsys.readouterr().out)
+    assert report["layout"]["total_qubits"] == 259
+    assert report["r_oracle"] == report["q_squared"] * 2**20
 
 
 def test_machine_guard_refusal(tmp_path, capsys):
@@ -175,14 +199,6 @@ def test_machine_guard_refusal(tmp_path, capsys):
     path.write_text("p cnf 4 1\n1 2 3 0\n")
     assert main(["solve", str(path), "--backend", "gqtm"]) == EXIT_GUARD
     assert "4 variables" in capsys.readouterr().err
-
-
-def test_max_qubits_is_refused_on_the_machine(worked_path, capsys):
-    argv = ["solve", worked_path, "--backend", "gqtm", "--max-qubits", "30"]
-    assert main(argv) == EXIT_INPUT
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "error: --max-qubits applies to the circuit backend only\n"
 
 
 @pytest.mark.parametrize("exc", [
@@ -278,6 +294,15 @@ def test_verify_bounds_prints_expected_warnings(capsys):
     assert "bounds" in out
     assert out.count("warning:") == 3  # lower bound misses at n = 4, 5, 6
     assert "FINDING" not in out
+
+
+def test_verify_findings_exit_findings(monkeypatch, capsys):
+    def planted(seed):
+        return satchaos.verify.SuiteResult("gates", 1, ("planted finding",), seed=seed)
+
+    monkeypatch.setitem(satchaos.verify.SUITES, "gates", planted)
+    assert main(["verify", "gates"]) == EXIT_FINDINGS
+    assert "  FINDING: planted finding\n" in capsys.readouterr().out
 
 
 def test_verify_writes_json_report(tmp_path, capsys):

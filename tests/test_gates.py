@@ -4,7 +4,6 @@ import pytest
 from satchaos.config import UNITARITY_ATOL
 from satchaos.gates import (
     GateKind,
-    PlacedGate,
     decompose,
     gate_matrix,
     hadamard_layer,

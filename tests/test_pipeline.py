@@ -1,8 +1,9 @@
 import pytest
 
 import satchaos
+import satchaos.circuit
 import satchaos.gqtm
-from satchaos import GuardExceeded, parse_dimacs, solve
+from satchaos import GuardExceeded, instance_from_ints, parse_dimacs, solve
 from satchaos.verify import EDGE_INSTANCES
 
 WORKED = parse_dimacs("p cnf 3 3\n1 2 -3 0\n3 -2 0\n1 -2 -3 0\n")
@@ -25,9 +26,13 @@ def test_backends_report_the_same_run(inst):
     assert machine.machine["branch_count"] >= 1
 
 
-def test_circuit_guard():
+def test_circuit_guard(monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("the guard must refuse before simulating")
+
+    monkeypatch.setattr(satchaos.circuit, "bit_planes", unreachable)
     with pytest.raises(GuardExceeded):
-        solve(WORKED, max_qubits=9)
+        solve(instance_from_ints(30, [[1, 2, 3]]))  # 33 planes of 2^30 bits: 4.1 GiB
 
 
 def test_unknown_backend():

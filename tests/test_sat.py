@@ -135,11 +135,11 @@ def test_assignment_indexing_is_bit_k_minus_1():
 
 
 def test_enumeration_guard():
-    inst = instance_from_ints(2, [[1, 2]])
+    inst = instance_from_ints(31, [[1, 2]])
     with pytest.raises(GuardExceeded):
-        count_models(inst, max_vars=1)
+        count_models(inst)
     with pytest.raises(GuardExceeded):
-        count_models_clausewise(inst, max_vars=1)
+        count_models_clausewise(inst)
 
 
 def test_regime_warning_attached():
