@@ -22,7 +22,6 @@ from .amplifier import (
     amplify_detect,
     iteration_window,
     k_bounds,
-    logistic_trajectory,
     snap_dyadic,
     sweep_crossing_bounds,
 )
@@ -77,7 +76,6 @@ __all__ = [
     "iteration_window",
     "k_bounds",
     "layout",
-    "logistic_trajectory",
     "parse_dimacs",
     "placed",
     "run",

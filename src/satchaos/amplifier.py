@@ -33,26 +33,6 @@ def logistic_step(x: float, a: float = DEFAULT_LOGISTIC_A) -> float:
     return a * x * (1.0 - x)
 
 
-def logistic_trajectory(x0: float, steps: int, a: float = DEFAULT_LOGISTIC_A,
-                        precision_bits: int | None = None) -> list[float]:
-    """x_0..x_steps. precision_bits switches to software floats (sensitivity runs)."""
-    if precision_bits is None:
-        xs = [x0]
-        for _ in range(steps):
-            xs.append(logistic_step(xs[-1], a))
-        return xs
-    import mpmath
-
-    with mpmath.workprec(precision_bits):
-        am = mpmath.mpf(a)
-        x = mpmath.mpf(x0)
-        xs = [float(x)]
-        for _ in range(steps):
-            x = am * x * (1 - x)
-            xs.append(float(x))
-    return xs
-
-
 def iteration_window(n: int) -> int:
     """Maximum number of amplifications the detector will run for n variables."""
     if n < 1:
@@ -60,19 +40,19 @@ def iteration_window(n: int) -> int:
     return (5 * (n - 1)) // 4 + 1
 
 
-def snap_dyadic(weight: float, num_vars: int,
-                atol: float = INTEGRALITY_ATOL) -> tuple[float, int]:
+def snap_dyadic(weight: float, num_vars: int) -> tuple[float, int]:
     """Round a result-qubit weight to the nearest r/2^n and return (value, r).
 
-    Pipeline weights are model fractions, so anything farther than atol from
-    a multiple of 2^-n is an arithmetic bug, not data. Bitwise zero stays
-    bitwise zero so the unsatisfiable dichotomy survives the rounding.
+    Pipeline weights are model fractions, so a weight·2^n farther than
+    ``INTEGRALITY_ATOL`` from an integer is an arithmetic bug, not data.
+    Bitwise zero stays bitwise zero so the unsatisfiable dichotomy survives
+    the rounding.
     """
     if num_vars < 1:
         raise ValueError("num_vars must be >= 1")
     scaled = weight * (1 << num_vars)
     r = round(scaled)
-    if abs(scaled - r) > atol:
+    if abs(scaled - r) > INTEGRALITY_ATOL:
         raise ArithmeticError(
             f"weight {weight!r} is not close to a multiple of 2^-{num_vars}"
         )

@@ -5,8 +5,11 @@ the CLI, and library callers agree on one set of constants.
 """
 
 # Numerical tolerances.
-SINGLE_OP_ATOL = 1e-12      # one gate application / one channel step / linearity
+SINGLE_OP_ATOL = 1e-12      # one gate / one channel step / one table row; linearity
 ACCUMULATED_ATOL = 1e-10    # norm budget for a whole pipeline, scaled by op count
+UNITARY_STAGE_NORM_ATOL = 1e-9  # machine norm drift over its whole unitary stage
+ORACLE_ATOL = 1e-10         # circuit readout against the brute-force fraction
+CROSS_BACKEND_ATOL = 1e-9   # machine weight against circuit readout
 UNITARITY_ATOL = 1e-14      # max-abs deviation of U†U from the identity
 AMPLITUDE_PRUNE_EPS = 1e-15 # machine branches below this magnitude are dropped
 SAT_DECISION_EPS = 1e-12    # q² above this counts as nonzero (exact decision)

@@ -6,12 +6,12 @@ head positions. Dynamics come from a transition function
 δ(state, read-symbols) → Σ amplitude·(state', writes, moves); superpositions
 of configurations evolve by applying δ to every live branch and summing
 amplitudes of identical successors, so destructive interference prunes
-branches exactly. On top of the pure dynamics sit mixed configurations —
-probability-weighted lists of superpositions — which is where measurement
-(decoherence) and classical reweighting act. After a measurement in the
-configuration basis, a deterministic table steps probability weights the
-way it steps amplitudes, so a whole measured ensemble can run as one
-superposition of weights.
+branches exactly. After a measurement in the configuration basis, a
+deterministic table steps probability weights the way it steps amplitudes,
+so the whole measured ensemble runs through :func:`step` as one weighted
+pass. Mixed configurations — probability-weighted lists of superpositions,
+measured and merged component by component — remain only as the reference
+that pass is tested against.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from operator import add, itemgetter
 from typing import Callable, Iterable, Mapping
 
-from ..config import AMPLITUDE_PRUNE_EPS
+from ..config import AMPLITUDE_PRUNE_EPS, SINGLE_OP_ATOL
 
 BLANK = "#"
 
@@ -29,11 +29,6 @@ BLANK = "#"
 #: track is ``(0, ())``, so equal contents give equal (and equal-hashing) tapes.
 Tape = tuple[int, tuple[str, ...]]
 EMPTY_TAPE: Tape = (0, ())
-
-#: (position, symbol) pairs, sorted by position, blanks omitted.
-TapeCells = tuple[tuple[int, str], ...]
-
-_WF_ATOL = 1e-12  # normalization / orthogonality slack in check_wellformed
 
 
 def _dense_tape(cells: Mapping[int, str]) -> Tape:
@@ -90,19 +85,8 @@ class Configuration(tuple):
         return tuple.__new__(cls, (state, tracks, heads))
 
     state = property(itemgetter(0))
+    tracks = property(itemgetter(1))
     heads = property(itemgetter(2))
-
-    @property
-    def tapes(self) -> tuple[TapeCells, ...]:
-        """Every track as sorted ``(position, symbol)`` pairs, blanks omitted."""
-        return tuple(
-            tuple((origin + i, s) for i, s in enumerate(symbols) if s != BLANK)
-            for origin, symbols in self[1]
-        )
-
-    @property
-    def num_tracks(self) -> int:
-        return len(self[1])
 
     def read(self, track: int) -> str:
         return _read(self[1][track], self[2][track])
@@ -114,7 +98,7 @@ class Configuration(tuple):
         return _new(Configuration, (state, self[1], self[2]))
 
     def __repr__(self) -> str:
-        return f"Configuration({self[0]!r}, tapes={self.tapes!r}, heads={self[2]!r})"
+        return f"Configuration({self[0]!r}, tracks={self[1]!r}, heads={self[2]!r})"
 
 
 _new = tuple.__new__
@@ -246,10 +230,13 @@ class TransitionFunction:
 
 
 class ConfigSuperposition:
-    """Sparse map configuration → complex amplitude (or probability weight)."""
+    """Sparse map configuration → complex amplitude (or probability weight).
 
-    def __init__(self, branches: Mapping[Configuration, complex] | None = None):
-        self.branches: dict[Configuration, complex] = dict(branches or {})
+    Takes ownership of ``branches``: callers hand over a fresh dict.
+    """
+
+    def __init__(self, branches: dict[Configuration, complex]):
+        self.branches = branches
 
     @classmethod
     def pure(cls, config: Configuration) -> "ConfigSuperposition":
@@ -263,13 +250,6 @@ class ConfigSuperposition:
 
     def state_mass(self, states: frozenset[str] | set[str]) -> float:
         return sum(abs(a) ** 2 for c, a in self.branches.items() if c[0] in states)
-
-
-def _wrap(branches: dict[Configuration, complex]) -> ConfigSuperposition:
-    """A superposition that takes ownership of ``branches`` (no copy)."""
-    psi = ConfigSuperposition.__new__(ConfigSuperposition)
-    psi.branches = branches
-    return psi
 
 
 def step(psi: ConfigSuperposition, delta: TransitionFunction,
@@ -324,7 +304,7 @@ def step(psi: ConfigSuperposition, delta: TransitionFunction,
     if out and min(map(abs, out.values())) < AMPLITUDE_PRUNE_EPS:  # rarely true
         for config in [c for c, a in out.items() if abs(a) < AMPLITUDE_PRUNE_EPS]:
             del out[config]
-    return _wrap(out)
+    return ConfigSuperposition(out)
 
 
 @dataclass(frozen=True)
@@ -340,26 +320,34 @@ class Phase:
 
 def rebase(psi: ConfigSuperposition, entry: str) -> ConfigSuperposition:
     """Relabel every branch's processor state — the glue between phases."""
-    return _wrap({c.with_state(entry): a for c, a in psi.branches.items()})
+    return ConfigSuperposition({c.with_state(entry): a for c, a in psi.branches.items()})
 
 
-StepCallback = Callable[[int, ConfigSuperposition, float], None]
+MAX_PHASE_STEPS = 100_000  # a phase still running after this many steps is stuck
 
 
-def run_phase(psi: ConfigSuperposition, phase: Phase, max_steps: int = 100_000,
-              on_step: StepCallback | None = None, step_offset: int = 0) -> tuple[ConfigSuperposition, int]:
-    """Step until every branch sits in a final state; returns (psi, steps taken)."""
+def run_phase(psi: ConfigSuperposition, phase: Phase,
+              on_step: Callable[[ConfigSuperposition, float], None] | None = None,
+              ) -> tuple[ConfigSuperposition, int]:
+    """Enter the phase and step until every branch sits in a final state.
+
+    Every branch is first relabelled to ``phase.entry``, whatever state the
+    previous phase left it in. ``on_step(psi, halting_mass)`` sees each new
+    superposition and its weight on the final states. Returns
+    ``(psi, steps taken)``.
+    """
+    psi = rebase(psi, phase.entry)
     steps = 0
     finals = phase.finals
     while not finals.issuperset([c[0] for c in psi.branches]):
-        if steps >= max_steps:
+        if steps >= MAX_PHASE_STEPS:
             raise RuntimeError(
-                f"phase {phase.name!r} exceeded {max_steps} steps without halting"
+                f"phase {phase.name!r} exceeded {MAX_PHASE_STEPS} steps without halting"
             )
-        psi = step(psi, phase.delta, phase.finals)
+        psi = step(psi, phase.delta, finals)
         steps += 1
         if on_step is not None:
-            on_step(step_offset + steps, psi, psi.state_mass(phase.finals))
+            on_step(psi, psi.state_mass(finals))
     return psi, steps
 
 
@@ -368,9 +356,6 @@ class MixedConfiguration:
     """Probability mixture of superpositions: Σ weight_k · |ψ_k⟩⟨ψ_k|."""
 
     components: tuple[tuple[float, ConfigSuperposition], ...]
-
-    def total_weight(self) -> float:
-        return sum(w for w, _ in self.components)
 
 
 def decohere(psi: ConfigSuperposition) -> MixedConfiguration:
@@ -448,7 +433,7 @@ def _effective_target(delta: TransitionFunction, read_syms: tuple[str, ...], r: 
     return (r.next_state, tuple(sorted(eff_writes)), eff_moves)
 
 
-def check_wellformed(delta: TransitionFunction, atol: float = _WF_ATOL) -> WellformedReport:
+def check_wellformed(delta: TransitionFunction) -> WellformedReport:
     """Classify a table: per-key normalization Σ|amp|² = 1, and zero overlap
     between rows whose state *and* read symbols both differ.
 
@@ -460,7 +445,7 @@ def check_wellformed(delta: TransitionFunction, atol: float = _WF_ATOL) -> Wellf
     norm_defects = []
     for (state, syms), targets in sorted(delta.rules.items()):
         total = sum(abs(r.amplitude) ** 2 for r in targets)
-        if abs(total - 1.0) > atol:
+        if abs(total - 1.0) > SINGLE_OP_ATOL:
             norm_defects.append((state, syms, total))
 
     keys = sorted(delta.rules)
@@ -474,11 +459,11 @@ def check_wellformed(delta: TransitionFunction, atol: float = _WF_ATOL) -> Wellf
             overlap = sum(
                 vec1[k] * vec2[k].conjugate() for k in vec1.keys() & vec2.keys()
             )
-            if abs(overlap) > atol:
+            if abs(overlap) > SINGLE_OP_ATOL:
                 ortho_defects.append((q1, a1, q2, a2, abs(overlap)))
 
     deterministic = all(
-        len(targets) == 1 and abs(targets[0].amplitude - 1.0) <= atol
+        len(targets) == 1 and abs(targets[0].amplitude - 1.0) <= SINGLE_OP_ATOL
         for targets in delta.rules.values()
     )
     unitary = not norm_defects and not ortho_defects

@@ -18,6 +18,7 @@ do not depend on the count either are built once, at import.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -31,16 +32,21 @@ from ..amplifier import (
     logistic_step,
     snap_dyadic,
 )
-from ..config import DEFAULT_MAX_MACHINE_VARS, SINGLE_OP_ATOL, GuardExceeded
-from ..sat import Clause, Literal, SatInstance
+from ..config import (
+    DEFAULT_MAX_MACHINE_VARS,
+    SINGLE_OP_ATOL,
+    UNITARY_STAGE_NORM_ATOL,
+    GuardExceeded,
+)
+from ..sat import SatInstance
 from .machine import (
     BLANK,
+    EMPTY_TAPE,
     ConfigSuperposition,
     Configuration,
     Phase,
     TransitionFunction,
     make_configuration,
-    rebase,
     rule,
     run_phase,
 )
@@ -80,36 +86,6 @@ def encode_sat_input(inst: SatInstance) -> tuple[str, ...]:
         symbols.extend("1" if neg >> k & 1 else "0" for k in range(n))
         symbols.append("C_E")
     return tuple(symbols)
-
-
-def decode_sat_input(symbols: tuple[str, ...] | list[str]) -> SatInstance:
-    """Inverse of :func:`encode_sat_input`, up to literal order and duplicates."""
-    syms = list(symbols)
-    try:
-        n = syms.index("X")
-    except ValueError:
-        raise ValueError("input string has no X separator") from None
-    if n == 0 or any(s != "0" for s in syms[:n]):
-        raise ValueError("input must start with a nonempty run of 0s before X")
-    clauses: list[Clause] = []
-    i = n + 1
-    block = 2 * n + 3
-    while i < len(syms):
-        chunk = syms[i:i + block]
-        if len(chunk) != block or chunk[0] != "C_S" or chunk[n + 1] != "Y" or chunk[-1] != "C_E":
-            raise ValueError(f"malformed clause block at symbol {i}")
-        eps, bars = chunk[1:n + 1], chunk[n + 2:2 * n + 2]
-        if not all(s in "01" for s in eps + bars):
-            raise ValueError(f"clause block at symbol {i} holds non-bit mask symbols")
-        literals = [Literal(k + 1, False) for k in range(n) if eps[k] == "1"]
-        literals += [Literal(k + 1, True) for k in range(n) if bars[k] == "1"]
-        if not literals:
-            raise ValueError(f"clause block at symbol {i} encodes an empty clause")
-        clauses.append(Clause(tuple(literals)))
-        i += block
-    if not clauses:
-        raise ValueError("input encodes no clauses")
-    return SatInstance(n, tuple(clauses))
 
 
 # --- phase tables ----------------------------------------------------------
@@ -345,8 +321,6 @@ class SatMachine:
     """Phase tables for one variable count, in execution order."""
 
     num_vars: int
-    window: int
-    counter_bits: int
     phases: tuple[Phase, ...]
 
     def phase(self, name: str) -> Phase:
@@ -355,22 +329,14 @@ class SatMachine:
                 return p
         raise KeyError(name)
 
-    def dump(self) -> str:
-        from .machine import dump_transition
-
-        return "\n\n".join(dump_transition(p) for p in self.phases)
-
 
 @functools.cache
 def sat_machine(num_vars: int) -> SatMachine:
     """The machine for ``num_vars`` variables, built once per count."""
     if num_vars < 1:
         raise ValueError("at least one variable is required")
-    window = iteration_window(num_vars)
     return SatMachine(
         num_vars,
-        window,
-        window.bit_length(),
         (
             phase_setup(num_vars),
             DFT,
@@ -408,37 +374,6 @@ class GqtmRun:
     unitary_steps: int
 
 
-class _JsonlWriter:
-    def __init__(self, sink: IO[str] | None):
-        self.sink = sink
-
-    def row(self, step: int, branch_count: int, norm: float, halting_prob: float):
-        if self.sink is None:
-            return
-        self.sink.write(json.dumps({
-            "step": step,
-            "branch_count": branch_count,
-            "norm": norm,
-            "halting_prob": halting_prob,
-        }) + "\n")
-
-
-def _run_stage(psi: ConfigSuperposition, phase: Phase, writer: _JsonlWriter,
-               step_offset: int) -> tuple[ConfigSuperposition, int]:
-    psi = rebase(psi, phase.entry)
-    if writer.sink is None:  # no observer: skip the per-step norm and mass sums
-        return run_phase(psi, phase, step_offset=step_offset)
-
-    def emit(step_index: int, cur: ConfigSuperposition, halting_mass: float):
-        writer.row(step_index, len(cur), cur.norm_sq(), halting_mass)
-
-    return run_phase(psi, phase, on_step=emit, step_offset=step_offset)
-
-
-def _workspace_blank(config: Configuration) -> bool:
-    return config.tapes[0] == () and config.tapes[1] == () and config.tapes[2] == ()
-
-
 def collapse(psi: ConfigSuperposition, machine: SatMachine) -> ConfigSuperposition:
     """The measurement channel, run as one weighted pass.
 
@@ -454,8 +389,7 @@ def collapse(psi: ConfigSuperposition, machine: SatMachine) -> ConfigSuperpositi
     """
     rho = ConfigSuperposition({c: abs(a) ** 2 for c, a in psi.branches.items()})
     for name in COLLAPSE_STAGE:
-        phase = machine.phase(name)
-        rho, _ = run_phase(rebase(rho, phase.entry), phase)
+        rho, _ = run_phase(rho, machine.phase(name))
     total = sum(rho.branches.values())
     if abs(total - 1.0) > SINGLE_OP_ATOL:
         raise ArithmeticError(f"collapse is not trace-preserving: weights sum to {total!r}")
@@ -483,15 +417,28 @@ def run_sat_gqtm(inst: SatInstance, params: LogisticParams = LogisticParams(), *
             f"(override with max_vars)"
         )
     machine = sat_machine(n)
-    writer = _JsonlWriter(jsonl_sink)
-    psi = ConfigSuperposition.pure(initial_configuration(machine, inst))
+    rows = itertools.count(1)  # JSONL step numbers, across both stages
 
+    def write_row(branch_count: int, norm: float, halting_prob: float):
+        jsonl_sink.write(json.dumps({
+            "step": next(rows),
+            "branch_count": branch_count,
+            "norm": norm,
+            "halting_prob": halting_prob,
+        }) + "\n")
+
+    on_step = None
+    if jsonl_sink is not None:  # no sink: skip the per-step norm and mass sums
+        def on_step(cur: ConfigSuperposition, halting_mass: float):
+            write_row(len(cur), cur.norm_sq(), halting_mass)
+
+    psi = ConfigSuperposition.pure(initial_configuration(machine, inst))
     steps = 0
     for name in UNITARY_STAGE:
-        psi, took = _run_stage(psi, machine.phase(name), writer, steps)
+        psi, took = run_phase(psi, machine.phase(name), on_step)
         steps += took
     norm = psi.norm_sq()
-    if abs(norm - 1.0) > 1e-9:
+    if abs(norm - 1.0) > UNITARY_STAGE_NORM_ATOL:
         raise ArithmeticError(f"norm drifted to {norm!r} during the unitary stage")
 
     branch_count = len(psi)
@@ -500,9 +447,9 @@ def run_sat_gqtm(inst: SatInstance, params: LogisticParams = LogisticParams(), *
     w1_raw = 0.0
     w0_raw = 0.0
     for config, weight in rho.branches.items():
-        if not _workspace_blank(config):
+        if config.tracks[:3] != (EMPTY_TAPE,) * 3:
             raise RuntimeError(
-                f"workspace tracks not blank after erasure: {config.tapes[:3]!r}"
+                f"workspace tracks not blank after erasure: {config.tracks[:3]!r}"
             )
         bit = config.symbol_at(3, 0)
         if bit == "1":
@@ -520,23 +467,20 @@ def run_sat_gqtm(inst: SatInstance, params: LogisticParams = LogisticParams(), *
     k = 0
     k_star = None
     decision = None
-    loop_step = steps
     while True:
-        loop_step += 1
-        writer.row(loop_step, len(rho), 1.0, w1)
+        if jsonl_sink is not None:
+            write_row(len(rho), 1.0, w1)
         if w1 > params.threshold:
             decision, k_star = "SAT", k
             break
         if loop_psi is None:
             raise RuntimeError("no loop component yet the weight never crossed")
-        compare = machine.phase("compare")
-        loop_psi, _ = run_phase(rebase(loop_psi, compare.entry), compare)
+        loop_psi, _ = run_phase(loop_psi, machine.phase("compare"))
         (config,) = loop_psi.branches
         if config.state == "cmp_eq_done":
             decision = "UNSAT" if w1 == 0.0 else "INCONCLUSIVE"
             break
-        increment = machine.phase("increment")
-        loop_psi, _ = run_phase(rebase(loop_psi, increment.entry), increment)
+        loop_psi, _ = run_phase(loop_psi, machine.phase("increment"))
         w1 = logistic_step(w1, params.a)
         xs.append(w1)
         k += 1
@@ -570,7 +514,7 @@ def run_classical_branch(inst: SatInstance, bits) -> tuple[tuple[int, ...], int]
         if sym not in ("0", "1"):
             raise RuntimeError(f"clause cell {j} holds {sym!r} after the OR phase")
         clause_bits.append(int(sym))
-    psi, _ = run_phase(rebase(psi, AND_EVAL.entry), AND_EVAL)
+    psi, _ = run_phase(psi, AND_EVAL)
     (config,) = psi.branches
     result = config.symbol_at(3, 0)
     if result not in ("0", "1"):

@@ -20,7 +20,7 @@ import numpy as np
 
 from .amplifier import amplify_detect, sweep_crossing_bounds
 from .circuit import layout, run as circuit_run, sat_decision_exact
-from .config import SINGLE_OP_ATOL, UNITARITY_ATOL
+from .config import CROSS_BACKEND_ATOL, ORACLE_ATOL, SINGLE_OP_ATOL, UNITARITY_ATOL
 from .gates import GateKind, decompose, gate_matrix, placed
 from .gqtm.machine import ConfigSuperposition, check_wellformed, make_configuration, step
 from .gqtm.program import run_classical_branch, run_sat_gqtm, sat_machine
@@ -34,8 +34,6 @@ from .sat import (
     to_dimacs,
 )
 
-ORACLE_ATOL = 1e-10
-CROSS_BACKEND_ATOL = 1e-9
 DEFAULT_SEED = 20260816
 
 # Named edge instances every corpus must contain.
@@ -347,7 +345,7 @@ def _interference_findings() -> tuple[int, list[str]]:
         (survivor, amplitude), = branches.items()
         if survivor.symbol_at(1, 0) != "1":
             rows.append("interference: wrong branch survived the cancellation")
-        if abs(amplitude - 1.0) > 1e-12:
+        if abs(amplitude - 1.0) > SINGLE_OP_ATOL:
             rows.append(f"interference: survivor amplitude {amplitude!r} != 1")
     return 3, rows
 

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -9,7 +10,6 @@ from satchaos.amplifier import (
     iteration_window,
     k_bounds,
     logistic_step,
-    logistic_trajectory,
     snap_dyadic,
     sweep_crossing_bounds,
 )
@@ -37,15 +37,19 @@ def test_logistic_step():
 
 
 def test_frozen_trajectory_from_one_eighth():
-    assert tuple(logistic_trajectory(0.125, 2)) == EIGHTH_TRACE
+    assert amplify_detect(0.125, 3).x == EIGHTH_TRACE
 
 
 def test_trajectory_extended_precision_crossing():
-    # with 250-bit arithmetic the 2^-10 seed crosses at k = 5, same as doubles
-    doubles = logistic_trajectory(2.0 ** -10, 8)
-    precise = logistic_trajectory(2.0 ** -10, 8, precision_bits=250)
-    assert next(k for k, x in enumerate(doubles) if x > 0.5) == 5
-    assert next(k for k, x in enumerate(precise) if x > 0.5) == 5
+    # the exact rational orbit of the 2^-10 seed crosses at k = 5, as doubles do
+    a = Fraction(3.71)  # the double's exact value
+    exact = [Fraction(1, 1 << 10)]
+    while exact[-1] <= Fraction(1, 2):
+        exact.append(a * exact[-1] * (1 - exact[-1]))
+    doubles = amplify_detect(2.0 ** -10, 10)
+    assert len(exact) - 1 == doubles.first_crossing == 5
+    for x, q in zip(doubles.x, exact, strict=True):
+        assert x == pytest.approx(float(q), abs=1e-15)
 
 
 def test_iteration_window():

@@ -1,10 +1,15 @@
-"""Every name a module imports is used in it.
+"""Every name a module imports is used in it, and every runtime dependency
+is imported by the package.
 
-Package ``__init__.py`` files are skipped: their imports are re-exports.
+Package ``__init__.py`` files are skipped by the unused-name scan: their
+imports are re-exports.
 """
 
 import ast
+import re
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted(
@@ -57,3 +62,25 @@ def test_no_unused_imports():
         for line, name in unused_imports(path.read_text())
     ]
     assert found == []
+
+
+def test_every_dependency_is_imported():
+    """Each runtime dependency is imported at the top of some module in src/.
+
+    A package imported only inside a function is not needed to run the
+    program, so it is not a runtime dependency.
+    """
+    tomllib = pytest.importorskip("tomllib")  # standard library from Python 3.11
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    imported = set()
+    for path in (ROOT / "src").rglob("*.py"):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    declared = [
+        re.match(r"[A-Za-z0-9_.-]+", dep).group().lower().replace("-", "_")
+        for dep in project["dependencies"]
+    ]
+    assert [name for name in declared if name not in imported] == []
