@@ -151,8 +151,9 @@ class StuckConfigurationError(RuntimeError):
 
 WILDCARD = "*"
 
-#: One rule in the form :func:`step` applies: (amplitude, next state, writes,
-#: per-track head shifts, or ``None`` when no head moves).
+#: One rule in the form :func:`step` applies: (amplitude, next state, the
+#: writes that change a cell, per-track head shifts or ``None`` when no head
+#: moves).
 CompiledRule = tuple[complex, str, tuple[tuple[int, str], ...], "tuple[int, ...] | None"]
 
 
@@ -203,14 +204,18 @@ class TransitionFunction:
             keys = [k + (o,) for k in keys for o in options]
         return keys
 
-    def _compile(self, r: Rule) -> CompiledRule:
+    def _compile(self, r: Rule, reads: tuple[str, ...]) -> CompiledRule:
+        """``r`` for the key reading ``reads``, less each write of the symbol
+        already read on that track (a write that changes nothing)."""
         shift = None
         if r.moves:
             shift = [0] * self.num_tracks
             for track, move in r.moves:
                 shift[track] = move
             shift = tuple(shift)
-        return complex(r.amplitude), r.next_state, r.writes, shift
+        read = dict(zip(self.read_tracks, reads))
+        writes = tuple((t, sym) for t, sym in r.writes if read.get(t) != sym)
+        return complex(r.amplitude), r.next_state, writes, shift
 
     def add(self, state: str, reads: tuple[str, ...], targets: list[Rule]):
         if len(reads) != len(self.read_tracks):
@@ -220,13 +225,12 @@ class TransitionFunction:
             )
         for r in targets:
             self._check_footprint(r)
-        compiled = tuple(self._compile(r) for r in targets)
         for key_syms in self._expand(reads):
             key = (state, key_syms)
             if key in self.rules:
                 raise ValueError(f"{self.name}: duplicate rule for {key!r}")
             self.rules[key] = tuple(targets)
-            self.compiled[key] = compiled
+            self.compiled[key] = tuple(self._compile(r, key_syms) for r in targets)
 
 
 class ConfigSuperposition:

@@ -8,7 +8,10 @@ unitarity certificate, a collapse that measures in the configuration basis
 and then runs one weighted pass that erases tracks 1, 2 and 0 (in that
 order, so branches merge by result bit before the long input sweep), and a
 detection loop that drives the result weight through the logistic map while
-a binary counter bounds the number of iterations.
+a binary counter bounds the number of iterations. The unitary part, the
+erasure and the classical replays run on bit planes (:mod:`.planes`); the
+handoff and the detection loop, one or two configurations each, run on
+:func:`~.machine.step`.
 
 Every phase's table depends only on the variable count, never on the clauses:
 the instance enters purely through the track-0 encoding. The six tables that
@@ -34,8 +37,6 @@ from ..amplifier import (
 )
 from ..config import (
     DEFAULT_MAX_MACHINE_VARS,
-    SINGLE_OP_ATOL,
-    UNITARY_STAGE_NORM_ATOL,
     GuardExceeded,
 )
 from ..sat import SatInstance
@@ -50,6 +51,7 @@ from .machine import (
     rule,
     run_phase,
 )
+from .planes import LockstepError, Mask, Planes
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
 
@@ -374,25 +376,34 @@ class GqtmRun:
     unitary_steps: int
 
 
-def collapse(psi: ConfigSuperposition, machine: SatMachine) -> ConfigSuperposition:
+def collapse(planes: Planes, machine: SatMachine) -> ConfigSuperposition:
     """The measurement channel, run as one weighted pass.
 
     Measuring in the configuration basis turns each branch into its weight
-    |amplitude|². The erase and handoff tables are deterministic with
-    amplitude 1, so :func:`~.machine.step` moves those weights the way it
-    moves amplitudes, and branches that become identical add their weights:
-    the same result as erasing each measured branch on its own and merging
-    the components. Like amplitudes, weights below the pruning epsilon would
-    vanish; every branch here weighs 2^-n. Returns configuration → weight,
-    one entry per result bit that occurs. Raises ``ArithmeticError`` unless
-    the weights sum to 1.
+    |amplitude|² = 2^-forks; the caller has checked that no two branches are
+    one configuration, whose amplitudes would interfere. The erase table is
+    deterministic with amplitude 1, so it runs on the planes, and the
+    branches it leaves in one configuration add their weights when the
+    planes are read back. Handoff then steps that readout, at most one
+    configuration per result bit, through :func:`~.machine.step`. Returns
+    configuration → weight. Raises ``ArithmeticError`` unless the readout
+    accounts for every branch, so that the weights sum to 1 exactly.
     """
-    rho = ConfigSuperposition({c: abs(a) ** 2 for c, a in psi.branches.items()})
-    for name in COLLAPSE_STAGE:
-        rho, _ = run_phase(rho, machine.phase(name))
-    total = sum(rho.branches.values())
-    if abs(total - 1.0) > SINGLE_OP_ATOL:
-        raise ArithmeticError(f"collapse is not trace-preserving: weights sum to {total!r}")
+    erase, handoff = (machine.phase(name) for name in COLLAPSE_STAGE)
+    planes.run_phase(erase)
+    readout = planes.configurations()
+    counted = sum(m.bit_count() for _, m in readout)
+    if counted != planes.width:
+        raise ArithmeticError(
+            f"collapse is not trace-preserving: {counted} of {planes.width} branches "
+            f"read out"
+        )
+    if len({c.symbol_at(3, 0) for c, _ in readout}) != len(readout):
+        raise RuntimeError(
+            f"erasure left {len(readout)} configurations, expected one per result bit"
+        )
+    rho = ConfigSuperposition({c: planes.mass(m.bit_count()) for c, m in readout})
+    rho, _ = run_phase(rho, handoff)
     return rho
 
 
@@ -401,14 +412,17 @@ def run_sat_gqtm(inst: SatInstance, params: LogisticParams = LogisticParams(), *
                  jsonl_sink: IO[str] | None = None) -> GqtmRun:
     """Full pipeline: unitary stage, collapse, then the detection loop.
 
+    The unitary stage runs on bit planes (:class:`~.planes.Planes`), and
+    ``branch_count`` is the number of distinct configurations it ends in.
     The collapse (:func:`collapse`) measures in the configuration basis
     (branch weight equals squared amplitude), blanks the workspace and merges
     identical branches — leaving one configuration per result bit whose
-    weight is the model fraction. That weight is snapped to the nearest
-    r/2^n (guarded) and driven through the logistic map, testing the
-    threshold before each iteration, until it crosses (satisfiable) or the
-    counter reaches the iteration limit (unsatisfiable when the weight is
-    exactly zero).
+    weight is the model fraction, exactly r/2^n. That weight drives the
+    logistic map, testing the threshold before each iteration, until it
+    crosses (satisfiable) or the counter reaches the iteration limit
+    (unsatisfiable when the weight is exactly zero). An invariant break
+    raises ``ArithmeticError`` (norm, trace, a weight off the 2^-n grid) or
+    ``RuntimeError`` (:class:`~.planes.LockstepError` among them).
     """
     n = inst.num_vars
     if n > max_vars:
@@ -428,21 +442,27 @@ def run_sat_gqtm(inst: SatInstance, params: LogisticParams = LogisticParams(), *
         }) + "\n")
 
     on_step = None
-    if jsonl_sink is not None:  # no sink: skip the per-step norm and mass sums
-        def on_step(cur: ConfigSuperposition, halting_mass: float):
-            write_row(len(cur), cur.norm_sq(), halting_mass)
+    if jsonl_sink is not None:  # no sink: skip the per-step popcounts
+        def on_step(cur: Planes, halting_mass: float):
+            live = cur.live()
+            write_row(live, cur.mass(live), halting_mass)
 
-    psi = ConfigSuperposition.pure(initial_configuration(machine, inst))
+    planes = Planes.from_configuration(initial_configuration(machine, inst))
     steps = 0
     for name in UNITARY_STAGE:
-        psi, took = run_phase(psi, machine.phase(name), on_step)
-        steps += took
-    norm = psi.norm_sq()
-    if abs(norm - 1.0) > UNITARY_STAGE_NORM_ATOL:
+        steps += planes.run_phase(machine.phase(name), on_step)
+    live = planes.live()
+    norm = planes.mass(live)
+    if norm != 1.0:
         raise ArithmeticError(f"norm drifted to {norm!r} during the unitary stage")
 
-    branch_count = len(psi)
-    rho = collapse(psi, machine)
+    branch_count = planes.count_configurations()
+    if branch_count != live:
+        raise LockstepError(
+            f"{live - branch_count} branches coincide with others before the "
+            f"collapse; the planes cannot weigh their interference"
+        )
+    rho = collapse(planes, machine)
     loop_psi = None
     w1_raw = 0.0
     w0_raw = 0.0
@@ -460,6 +480,8 @@ def run_sat_gqtm(inst: SatInstance, params: LogisticParams = LogisticParams(), *
             raise RuntimeError(f"result cell holds {bit!r}, expected a bit")
 
     q_squared, r_estimate = snap_dyadic(w1_raw, n)
+    if q_squared != w1_raw:
+        raise ArithmeticError(f"result weight {w1_raw!r} is not a multiple of 2^-{n}")
     bounds = k_bounds(n, r_estimate, params.a) if r_estimate >= 1 else None
 
     xs = [q_squared]
@@ -492,31 +514,55 @@ def run_sat_gqtm(inst: SatInstance, params: LogisticParams = LogisticParams(), *
     )
 
 
-def run_classical_branch(inst: SatInstance, bits) -> tuple[tuple[int, ...], int]:
-    """Drive one frozen assignment through the OR and AND phases.
+def run_classical_branches(inst: SatInstance, assignments
+                           ) -> list[tuple[tuple[int, ...], int]]:
+    """Drive frozen assignments through the OR and AND phases, all in one pass.
 
-    Track 1 is preset to the given bits (no Hadamard stage), the clause bits
-    are read off track 2 after the OR phase, and the final AND bit is
-    returned alongside them.
+    Track 1 is preset to the bits, one branch per assignment (no Hadamard
+    stage), the clause bits are read off track 2 after the OR phase, and the
+    final AND bit is returned alongside them: ``(clause bits, result)`` per
+    assignment, in order.
     """
     n = inst.num_vars
-    bits = tuple(int(b) for b in bits)
-    if len(bits) != n or any(b not in (0, 1) for b in bits):
-        raise ValueError(f"need {n} bits in {{0,1}}, got {bits!r}")
-    track0 = {i: s for i, s in enumerate(encode_sat_input(inst))}
-    track1 = {i: str(b) for i, b in enumerate(bits)}
-    config = make_configuration(OR_EVAL.entry, [track0, track1, {}, {}], [0, 0, 0, 0])
-    psi, _ = run_phase(ConfigSuperposition.pure(config), OR_EVAL)
-    (config,) = psi.branches
-    clause_bits = []
-    for j in range(inst.num_clauses):
-        sym = config.symbol_at(2, j)
-        if sym not in ("0", "1"):
-            raise RuntimeError(f"clause cell {j} holds {sym!r} after the OR phase")
-        clause_bits.append(int(sym))
-    psi, _ = run_phase(psi, AND_EVAL)
-    (config,) = psi.branches
-    result = config.symbol_at(3, 0)
-    if result not in ("0", "1"):
-        raise RuntimeError(f"result cell holds {result!r} after the AND phase")
-    return tuple(clause_bits), int(result)
+    ones = [0] * n  # per variable, the branches where it is 1
+    width = 0
+    for bits in assignments:
+        bits = tuple(int(b) for b in bits)
+        if len(bits) != n or any(b not in (0, 1) for b in bits):
+            raise ValueError(f"need {n} bits in {{0,1}}, got {bits!r}")
+        for k, b in enumerate(bits):
+            ones[k] |= b << width
+        width += 1
+    if not width:
+        return []
+    full = (1 << width) - 1
+    track0 = {i: {s: full} for i, s in enumerate(encode_sat_input(inst))}
+    track1 = {k: {sym: m for sym, m in (("0", full ^ one), ("1", one)) if m}
+              for k, one in enumerate(ones)}
+    planes = Planes(width, {(OR_EVAL.entry, (0, 0, 0, 0)): full}, [track0, track1, {}, {}])
+    planes.run_phase(OR_EVAL)
+    clause_planes = [_bit_plane(planes, 2, j, OR_EVAL) for j in range(inst.num_clauses)]
+    planes.run_phase(AND_EVAL)
+    result = _bit_plane(planes, 3, 0, AND_EVAL)
+    return [
+        (tuple(p >> i & 1 for p in clause_planes), result >> i & 1)
+        for i in range(width)
+    ]
+
+
+def _bit_plane(planes: Planes, track: int, pos: int, phase: Phase) -> Mask:
+    """The branches holding 1 in one cell, which must hold a bit on every branch."""
+    cell = planes.tracks[track].get(pos, {})
+    covered = cell.get("0", 0) | cell.get("1", 0)
+    if cell.keys() - {"0", "1"} or covered != (1 << planes.width) - 1:
+        raise RuntimeError(
+            f"track {track} cell {pos} holds {cell!r} after the {phase.name} phase, "
+            f"expected a bit on every branch"
+        )
+    return cell.get("1", 0)
+
+
+def run_classical_branch(inst: SatInstance, bits) -> tuple[tuple[int, ...], int]:
+    """:func:`run_classical_branches` for one assignment."""
+    (replay,) = run_classical_branches(inst, [bits])
+    return replay

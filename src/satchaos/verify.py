@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import combinations, product
 
 import numpy as np
 
@@ -23,7 +24,7 @@ from .circuit import layout, run as circuit_run, sat_decision_exact
 from .config import CROSS_BACKEND_ATOL, ORACLE_ATOL, SINGLE_OP_ATOL, UNITARITY_ATOL
 from .gates import GateKind, decompose, gate_matrix, placed
 from .gqtm.machine import ConfigSuperposition, check_wellformed, make_configuration, step
-from .gqtm.program import run_classical_branch, run_sat_gqtm, sat_machine
+from .gqtm.program import run_classical_branches, run_sat_gqtm, sat_machine
 from .quantum import StateVector, apply_sequence, basis_state
 from .sat import (
     SatInstance,
@@ -280,8 +281,6 @@ def _census_findings(num_vars: int) -> tuple[int, list[str]]:
 
 def _all_clauses(num_vars: int) -> list[list[int]]:
     """Every clause over 1..num_vars with distinct variables, width <= 3."""
-    from itertools import combinations, product
-
     out: list[list[int]] = []
     for width in range(1, min(3, num_vars) + 1):
         for variables in combinations(range(1, num_vars + 1), width):
@@ -307,9 +306,9 @@ def _cross_backend_checks(item: tuple[str, SatInstance]) -> tuple[int, list[str]
             f"for {to_dimacs(inst)!r}"
         )
     n = inst.num_vars
-    for index in range(1 << n):
-        bits = tuple((index >> k) & 1 for k in range(n))
-        clause_bits, result = run_classical_branch(inst, bits)
+    assignments = [tuple((index >> k) & 1 for k in range(n)) for index in range(1 << n)]
+    replays = run_classical_branches(inst, assignments)
+    for bits, (clause_bits, result) in zip(assignments, replays):
         checks += 1 + inst.num_clauses
         if result != eval_instance(inst, bits):
             rows.append(f"{label}: branch {bits} result {result} wrong")

@@ -17,7 +17,7 @@ from satchaos.cli import (
     EXIT_OK,
     main,
 )
-from satchaos.gqtm import StuckConfigurationError
+from satchaos.gqtm import LockstepError, StuckConfigurationError
 from satchaos.sat import instance_from_ints, to_dimacs
 
 WORKED_CNF = "p cnf 3 3\n1 2 -3 0\n3 -2 0\n1 -2 -3 0\n"
@@ -194,17 +194,39 @@ def test_wide_register_is_decided(tmp_path, capsys):
     assert report["r_oracle"] == report["q_squared"] * 2**20
 
 
+def _random_3cnf(num_vars: int, num_clauses: int, seed: int) -> str:
+    rng = random.Random(seed)
+    clauses = [
+        [v if rng.random() < 0.5 else -v for v in rng.sample(range(1, num_vars + 1), 3)]
+        for _ in range(num_clauses)
+    ]
+    return to_dimacs(instance_from_ints(num_vars, clauses))
+
+
+def test_machine_backend_decides_twelve_variables(tmp_path, capsys):
+    path = tmp_path / "twelve.cnf"
+    path.write_text(_random_3cnf(12, 48, seed=12))
+    assert main(["solve", str(path), "--deterministic"]) == EXIT_OK
+    circuit = json.loads(capsys.readouterr().out)
+    assert main(["solve", str(path), "--backend", "gqtm", "--deterministic"]) == EXIT_OK
+    machine = json.loads(capsys.readouterr().out)
+    assert machine["decision"] == circuit["decision"]
+    assert machine["q_squared"] == circuit["q_squared"] == circuit["r_oracle"] / 2**12
+    assert machine["machine"]["branch_count"] == 2**12
+
+
 def test_machine_guard_refusal(tmp_path, capsys):
-    path = tmp_path / "four.cnf"
-    path.write_text("p cnf 4 1\n1 2 3 0\n")
+    path = tmp_path / "seventeen.cnf"
+    path.write_text(_random_3cnf(17, 1, seed=17))
     assert main(["solve", str(path), "--backend", "gqtm"]) == EXIT_GUARD
-    assert "4 variables" in capsys.readouterr().err
+    assert "17 variables" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("exc", [
     ArithmeticError("norm drifted to 1.5 during the unitary stage"),
     RuntimeError("workspace tracks not blank after erasure"),
     StuckConfigurationError("erase_input", ("?",), (0, 0, 0, 0)),
+    LockstepError("dft: a forking step in which some branch does not fork in two"),
 ])
 def test_invariant_break_exits_internal(worked_path, monkeypatch, capsys, exc):
     def broken(*args, **kwargs):

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from satchaos.amplifier import amplify_detect, iteration_window, snap_dyadic
 from satchaos.circuit import run as circuit_run
-from satchaos.config import GuardExceeded
+from satchaos.config import SINGLE_OP_ATOL, GuardExceeded
 from satchaos.gqtm.machine import (
     BLANK,
     EMPTY_TAPE,
@@ -30,6 +30,7 @@ from satchaos.gqtm.machine import (
     step,
     _write,
 )
+from satchaos.gqtm.planes import LockstepError, Planes
 from satchaos.gqtm.program import (
     COLLAPSE_STAGE,
     ERASE,
@@ -48,6 +49,7 @@ from satchaos.gqtm.program import (
     phase_or_eval,
     phase_setup,
     run_classical_branch,
+    run_classical_branches,
     run_sat_gqtm,
     sat_machine,
 )
@@ -64,6 +66,23 @@ WORKED = parse_dimacs("p cnf 3 3\n1 2 -3 0\n3 -2 0\n1 -2 -3 0\n")
 WORKED_ENCODING = "000XC_S110Y001C_EC_S001Y010C_EC_S100Y011C_E"
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
+
+
+def small_cnfs_up_to(max_n: int, max_m: int = 4):
+    """(n, clauses) with n <= max_n, m <= max_m; duplicate and opposed
+    literals within a clause allowed."""
+    return st.integers(1, max_n).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.lists(
+                st.lists(
+                    st.integers(1, n).flatmap(lambda v: st.sampled_from([v, -v])),
+                    min_size=1, max_size=4,
+                ),
+                min_size=1, max_size=max_m,
+            ),
+        )
+    )
 
 
 # --- the machine formalism --------------------------------------------------
@@ -368,11 +387,11 @@ def test_small_instances_match_amplifier():
 
 
 def test_variable_guard():
-    with pytest.raises(GuardExceeded):
-        run_sat_gqtm(instance_from_ints(4, [[1, 2, 3]]))
+    with pytest.raises(GuardExceeded, match="17 variables"):
+        run_sat_gqtm(instance_from_ints(17, [[1, 2, 3]]))
     # and the documented override
-    result = run_sat_gqtm(instance_from_ints(4, [[1, 2, 3]]), max_vars=4)
-    assert result.q_squared == pytest.approx(14 / 16, abs=1e-9)
+    result = run_sat_gqtm(instance_from_ints(17, [[1, 2, 3]]), max_vars=17)
+    assert result.q_squared == 7 / 8 and result.branch_count == 1 << 17
 
 
 def test_classical_branches_match_eval():
@@ -384,12 +403,33 @@ def test_classical_branches_match_eval():
         )
     with pytest.raises(ValueError):
         run_classical_branch(WORKED, (0, 1))
+    with pytest.raises(ValueError):
+        run_classical_branches(WORKED, [(0, 1, 0), (0, 2, 0)])
+    assert run_classical_branches(WORKED, []) == []
+
+
+@given(small_cnfs_up_to(8), st.data())
+@settings(max_examples=60, deadline=None)
+def test_batched_replays_equal_single_replays_and_eval(cnf, data):
+    """Any list of assignments, repeats and any order included, replays in
+    one pass exactly as one replay per assignment, and as direct evaluation."""
+    inst = instance_from_ints(*cnf)
+    n = inst.num_vars
+    assignments = data.draw(st.lists(st.tuples(*[st.integers(0, 1)] * n), max_size=40))
+    batched = run_classical_branches(inst, assignments)
+    assert batched == [run_classical_branch(inst, bits) for bits in assignments]
+    assert batched == [
+        (tuple(eval_clause(c, bits) for c in inst.clauses), eval_instance(inst, bits))
+        for bits in assignments
+    ]
 
 
 def test_factored_stages_equal_integrated_run():
-    """Running unitary stage, collapse, and detection by hand must reproduce
-    run_sat_gqtm exactly — the pipeline is literally that composition."""
+    """Running unitary stage, collapse, and detection by hand on the dict
+    engine must reproduce run_sat_gqtm, whose weights are exact."""
     integrated = run_sat_gqtm(WORKED)
+    n, r = WORKED.num_vars, count_models(WORKED)
+    assert integrated.weights_raw == ((2**n - r) / 2**n, r / 2**n)
 
     machine, psi = _unitary_stage(WORKED)
     assert abs(psi.norm_sq() - 1.0) < 1e-9
@@ -398,8 +438,8 @@ def test_factored_stages_equal_integrated_run():
         config.symbol_at(3, 0): weight
         for config, weight in _per_component_collapse(machine, psi).items()
     }
-    assert weights["1"] == integrated.weights_raw[1]
-    assert weights["0"] == integrated.weights_raw[0]
+    assert abs(weights["1"] - integrated.weights_raw[1]) <= SINGLE_OP_ATOL
+    assert abs(weights["0"] - integrated.weights_raw[0]) <= SINGLE_OP_ATOL
 
     q_squared, _ = snap_dyadic(weights["1"], 3)
     reference = amplify_detect(q_squared, 3)
@@ -407,22 +447,7 @@ def test_factored_stages_equal_integrated_run():
     assert reference.decision == integrated.decision
 
 
-# n <= 3, m <= 4; duplicate and opposed literals within a clause allowed.
-small_cnfs = st.integers(1, 3).flatmap(
-    lambda n: st.tuples(
-        st.just(n),
-        st.lists(
-            st.lists(
-                st.integers(1, n).flatmap(lambda v: st.sampled_from([v, -v])),
-                min_size=1, max_size=4,
-            ),
-            min_size=1, max_size=4,
-        ),
-    )
-)
-
-
-@given(small_cnfs)
+@given(small_cnfs_up_to(3))
 @settings(max_examples=150, deadline=None)
 def test_machine_counts_models_and_replays_every_branch(cnf):
     inst = instance_from_ints(*cnf)
@@ -432,6 +457,17 @@ def test_machine_counts_models_and_replays_every_branch(cnf):
         clause_bits, result = run_classical_branch(inst, bits)
         assert result == eval_instance(inst, bits)
         assert clause_bits == tuple(eval_clause(c, bits) for c in inst.clauses)
+
+
+@given(small_cnfs_up_to(12, max_m=24))
+@settings(max_examples=40, deadline=None)
+def test_machine_weight_is_the_exact_model_fraction(cnf):
+    inst = instance_from_ints(*cnf)
+    n, r = inst.num_vars, count_models(inst)
+    result = run_sat_gqtm(inst)
+    assert result.weights_raw == ((2**n - r) / 2**n, r / 2**n)
+    assert result.branch_count == 2**n
+    assert result.trace.x == amplify_detect(r / 2**n, n).x
 
 
 @pytest.mark.parametrize("num_vars", [1, 2, 3, 4])
@@ -472,6 +508,32 @@ def _unitary_stage(inst):
     return machine, psi
 
 
+def _planes_stage(inst, on_step=None):
+    machine = sat_machine(inst.num_vars)
+    planes = Planes.from_configuration(initial_configuration(machine, inst))
+    steps = sum(planes.run_phase(machine.phase(name), on_step) for name in UNITARY_STAGE)
+    return machine, planes, steps
+
+
+def _amplitudes(planes):
+    """The planes read back as configuration → amplitude."""
+    scale = 2 ** (-planes.forks / 2)
+    return {
+        config: ((m & ~planes.sign).bit_count() - (m & planes.sign).bit_count()) * scale
+        for config, m in planes.configurations()
+    }
+
+
+def _dict_collapse(psi, machine):
+    """The collapse as one weighted pass on the dict engine: each branch's
+    weight |amplitude|² steps through erase and handoff, and identical
+    successors add their weights."""
+    rho = ConfigSuperposition({c: abs(a) ** 2 for c, a in psi.branches.items()})
+    for name in COLLAPSE_STAGE:
+        rho, _ = run_phase(rho, machine.phase(name))
+    return rho
+
+
 def _per_component_collapse(machine, psi):
     """Reference: measure, erase and hand off each branch alone, then merge."""
     collapsed = []
@@ -493,24 +555,151 @@ def _collapse_corpus():
                 instance_from_ints(num_vars, [rng.choice(pool) for _ in range(num_clauses)])
                 for _ in range(20)
             ]
-    opposite_phase = instance_from_ints(2, [[1, 2], [-1, -2]])  # criterion 7's pair
-    return corpus + list(EDGE_INSTANCES) + [WORKED, opposite_phase]
+    return corpus + list(EDGE_INSTANCES) + [WORKED, OPPOSITE_PHASE]
+
+
+OPPOSITE_PHASE = instance_from_ints(2, [[1, 2], [-1, -2]])  # criterion 7's pair
 
 
 def test_one_pass_collapse_matches_per_component_reference():
     for inst in _collapse_corpus():
         machine, psi = _unitary_stage(inst)
         reference = _per_component_collapse(machine, psi)
-        one_pass = collapse(psi, machine).branches
-        assert one_pass.keys() == reference.keys(), inst
-        assert len(one_pass) <= 2, inst
-        for config, weight in one_pass.items():
+        dict_pass = _dict_collapse(psi, machine).branches
+        _, planes, _ = _planes_stage(inst)
+        planes_pass = collapse(planes, machine).branches
+        assert dict_pass.keys() == planes_pass.keys() == reference.keys(), inst
+        assert len(planes_pass) <= 2, inst
+        r = count_models(inst)
+        for config, weight in planes_pass.items():
+            exact = r if config.symbol_at(3, 0) == "1" else 2**inst.num_vars - r
+            assert weight == exact / 2**inst.num_vars, inst
             assert abs(weight - reference[config]) <= 1e-12, inst
+            assert abs(dict_pass[config] - reference[config]) <= 1e-12, inst
 
 
 def test_collapse_certifies_the_weights_sum_to_one():
-    machine, psi = _unitary_stage(WORKED)
-    assert sum(collapse(psi, machine).branches.values()) == pytest.approx(1.0, abs=1e-12)
-    drifted = ConfigSuperposition({c: a * (1 + 1e-9) for c, a in psi.branches.items()})
+    machine, planes, _ = _planes_stage(WORKED)
+    assert sum(collapse(planes, machine).branches.values()) == 1.0
+
+    machine, planes, _ = _planes_stage(WORKED)
+    ((key, mask),) = planes.groups.items()
+    planes.groups[key] = mask & ~(1 << 5)  # plant a lost branch
     with pytest.raises(ArithmeticError, match="trace-preserving"):
-        collapse(drifted, machine)
+        collapse(planes, machine)
+
+
+# --- the bit-plane executor against the dict engine ----------------------------
+
+def _assert_executor_matches_reference(inst):
+    machine, psi = _unitary_stage(inst)
+    _, planes, steps = _planes_stage(inst)
+    amplitudes = _amplitudes(planes)
+    assert amplitudes.keys() == psi.branches.keys(), inst
+    for config, amp in psi.branches.items():
+        assert abs(amplitudes[config] - amp) <= 1e-12, inst
+    assert planes.count_configurations() == len(amplitudes) == len(psi), inst
+
+    reference = _per_component_collapse(machine, psi)
+    result = run_sat_gqtm(inst, max_vars=inst.num_vars)
+    assert result.branch_count == len(psi), inst
+    assert result.unitary_steps == steps, inst
+    bits = {config.symbol_at(3, 0): w for config, w in reference.items()}
+    assert abs(result.weights_raw[1] - bits.get("1", 0.0)) <= 1e-12, inst
+    assert abs(result.weights_raw[0] - bits.get("0", 0.0)) <= 1e-12, inst
+    assert result.weights_raw[1] * 2**inst.num_vars == count_models(inst), inst
+
+
+@given(small_cnfs_up_to(6, max_m=8))
+@settings(max_examples=40, deadline=None)
+def test_executor_matches_the_dict_engine(cnf):
+    _assert_executor_matches_reference(instance_from_ints(*cnf))
+
+
+@pytest.mark.parametrize("num_vars", [7, 8])
+def test_executor_matches_the_dict_engine_seeded(num_vars):
+    rng = random.Random(num_vars)
+    clauses = [
+        [v if rng.random() < 0.5 else -v for v in rng.sample(range(1, num_vars + 1), 3)]
+        for _ in range(2 * num_vars)
+    ]
+    _assert_executor_matches_reference(instance_from_ints(num_vars, clauses))
+
+
+@pytest.mark.parametrize("inst", [WORKED, OPPOSITE_PHASE], ids=["worked", "opposite-phase"])
+def test_jsonl_rows_match_the_dict_engine(inst):
+    sink = io.StringIO()
+    result = run_sat_gqtm(inst, jsonl_sink=sink)
+    rows = [json.loads(line) for line in sink.getvalue().splitlines()]
+
+    reference = []
+    machine = sat_machine(inst.num_vars)
+    psi = ConfigSuperposition.pure(initial_configuration(machine, inst))
+    for name in UNITARY_STAGE:
+        psi, _ = run_phase(
+            psi, machine.phase(name),
+            lambda cur, mass: reference.append((len(cur), cur.norm_sq(), mass)),
+        )
+    assert len(reference) == result.unitary_steps
+    assert [row["step"] for row in rows] == list(range(1, len(rows) + 1))
+    for row, (branches, norm, mass) in zip(rows, reference):
+        assert row["branch_count"] == branches
+        assert abs(row["norm"] - norm) <= 1e-12
+        assert abs(row["halting_prob"] - mass) <= 1e-12
+    loop_rows = rows[len(reference):]
+    assert [row["halting_prob"] for row in loop_rows] == list(result.trace.x)
+    assert all(row["norm"] == 1.0 for row in loop_rows)
+
+
+def _fork_table(amps_on_0, amps_on_1) -> TransitionFunction:
+    """One track; each symbol's row moves on with the given amplitudes."""
+    t = TransitionFunction("fork", 1, (0,), (0,), {0: ("0", "1")})
+    for sym, amps in (("0", amps_on_0), ("1", amps_on_1)):
+        t.add("s", (sym,), [
+            rule(a, "done", writes={0: str(i)}, moves={0: +1}) for i, a in enumerate(amps)
+        ])
+    return t
+
+
+def _two_branches() -> Planes:
+    """Branch 0 reads "0" and branch 1 reads "1" under one head."""
+    return Planes(2, {("s", (0,)): 0b11}, [{0: {"0": 0b01, "1": 0b10}}])
+
+
+@pytest.mark.parametrize("amps_on_0, amps_on_1, match", [
+    ((SQRT_HALF, SQRT_HALF), (1,), "does not fork in two"),
+    ((SQRT_HALF, SQRT_HALF), (0.6, 0.8), "does not weigh 1/2"),
+    ((1,), (1j,), "is not ±1"),
+    ((0.6, 0.8j, 0.0), (1,), "does not fork in two"),
+])
+def test_tables_that_break_lockstep_are_refused(amps_on_0, amps_on_1, match):
+    table = _fork_table(amps_on_0, amps_on_1)
+    with pytest.raises(LockstepError, match=match):
+        _two_branches().step(table, frozenset({"done"}))
+
+
+def test_fork_beside_a_halted_branch_is_refused():
+    table = _fork_table((SQRT_HALF, SQRT_HALF), (SQRT_HALF, -SQRT_HALF))
+    planes = Planes(2, {("s", (0,)): 0b01, ("done", (0,)): 0b10},
+                    [{0: {"0": 0b01, "1": 0b10}}])
+    with pytest.raises(LockstepError, match="does not fork in two"):
+        planes.step(table, frozenset({"done"}))
+
+
+def test_forks_double_the_branches_and_carry_signs():
+    table = _fork_table((SQRT_HALF, SQRT_HALF), (SQRT_HALF, -SQRT_HALF))
+    planes = _two_branches()
+    assert not planes.step(table, frozenset({"done"}))
+    assert (planes.width, planes.forks, planes.sign) == (4, 1, 0b1000)
+    amplitudes = {c.symbol_at(0, 0): a for c, a in _amplitudes(planes).items()}
+    psi = step(ConfigSuperposition({
+        make_configuration("s", [{0: "0"}], [0]): 1.0,
+        make_configuration("s", [{0: "1"}], [0]): 1.0,
+    }), table, frozenset({"done"}))
+    # Branches 0 and 1 take their row's first target and write "0"; their
+    # copies 2 and 3 write "1", and 3 carries the minus sign. So the "0"
+    # amplitudes add and the "1" amplitudes cancel.
+    assert amplitudes == {"0": pytest.approx(2 * SQRT_HALF), "1": 0.0}
+    assert {c.symbol_at(0, 0): a for c, a in psi.branches.items()} == {
+        "0": pytest.approx(2 * SQRT_HALF)
+    }

@@ -1,5 +1,5 @@
-"""Every name a module imports is used in it, and every runtime dependency
-is imported by the package.
+"""Every name a module imports is used in it, every import in ``src/`` sits
+at module level, and every runtime dependency is imported by the package.
 
 Package ``__init__.py`` files are skipped by the unused-name scan: their
 imports are re-exports.
@@ -60,6 +60,41 @@ def test_no_unused_imports():
         f"{path.relative_to(ROOT)}:{line}: {name}"
         for path in MODULES
         for line, name in unused_imports(path.read_text())
+    ]
+    assert found == []
+
+
+def imports_in_functions(source: str) -> list[tuple[int, str]]:
+    """(line, innermost function) of every import inside a function body."""
+    found = []
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.Import, ast.ImportFrom)) and function:
+                found.append((child.lineno, function))
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+            else:
+                visit(child, function)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def test_imports_in_functions_are_found():
+    source = (
+        "import os\n"
+        "def f():\n    import json\n    def g():\n        from x import y\n"
+        "class C:\n    def m(self):\n        import re\n"
+    )
+    assert imports_in_functions(source) == [(3, "f"), (5, "g"), (8, "m")]
+
+
+def test_no_imports_inside_functions_in_src():
+    found = [
+        f"{path.relative_to(ROOT)}:{line}: in {name}()"
+        for path in (ROOT / "src").rglob("*.py")
+        for line, name in imports_in_functions(path.read_text())
     ]
     assert found == []
 
