@@ -7,11 +7,15 @@ head positions. Dynamics come from a transition function
 of configurations evolve by applying δ to every live branch and summing
 amplitudes of identical successors, so destructive interference prunes
 branches exactly. After a measurement in the configuration basis, a
-deterministic table steps probability weights the way it steps amplitudes,
-so the whole measured ensemble runs through :func:`step` as one weighted
-pass. Mixed configurations — probability-weighted lists of superpositions,
-measured and merged component by component — remain only as the reference
-that pass is tested against.
+deterministic table steps probability weights the way it steps amplitudes.
+
+This rule-by-rule engine is the reference. The SAT program runs every phase
+on bit planes (:mod:`.planes`), and the tests hold those planes to
+:func:`step` amplitude for amplitude, as they hold the circuit's bit planes
+to the dense statevector (:mod:`satchaos.quantum`). ``verify``'s
+interference check steps it on purpose. Mixed configurations —
+probability-weighted lists of superpositions, measured and merged component
+by component — are the reference for the collapse.
 """
 
 from __future__ import annotations
@@ -398,20 +402,6 @@ class WellformedReport:
     orthogonality_defects: tuple[tuple[str, tuple[str, ...], str, tuple[str, ...], float], ...]
     unitary: bool
     deterministic: bool
-
-    def summary(self) -> str:
-        verdict = []
-        if self.unitary:
-            verdict.append("UNITARY")
-        if self.deterministic:
-            verdict.append("DETERMINISTIC")
-        if not verdict:
-            verdict.append("DEFECTIVE")
-        return (
-            f"{self.name}: {' '.join(verdict)} "
-            f"({len(self.normalization_defects)} normalization, "
-            f"{len(self.orthogonality_defects)} orthogonality defects)"
-        )
 
 
 def _effective_target(delta: TransitionFunction, read_syms: tuple[str, ...], r: Rule):

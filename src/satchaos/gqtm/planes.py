@@ -16,10 +16,14 @@ A step splits each group by the symbols under its heads, looks up one row
 of δ per read tuple that occurs and applies it as masked plane updates. A
 two-target row (the Hadamard rows of ``dft``) doubles the index space: the
 first target writes into the lower copy of the branches, the second into
-the upper one. Branches are never merged on the planes; identical
-configurations are merged when the planes are read back
-(:meth:`Planes.configurations`), which gives the same result as merging
-step by step, because δ is linear.
+the upper one. Branches are never merged on the planes, so two branches
+may come to hold one configuration: :meth:`Planes.count_configurations`
+counts the distinct ones, and a measurement weighs a set of branches by its
+popcount, which gives the same result as merging step by step, because δ is
+linear. :meth:`Planes.branch` reads one branch back as a configuration.
+
+The SAT program runs every phase here; the rule-by-rule engine
+(:func:`~.machine.step`) is the reference the tests hold these planes to.
 """
 
 from __future__ import annotations
@@ -271,34 +275,12 @@ class Planes:
         """Number of distinct configurations among the branches."""
         return int(self._labels().max()) + 1
 
-    def configurations(self) -> list[tuple[Configuration, Mask]]:
-        """Read the planes back: each distinct configuration with its branches.
-
-        Splits the groups by every cell, one mask per part: cheap when the
-        parts are few, as after the collapse's erasure.
-        """
-        parts = list(self.groups.items())
-        for cells in self.tracks:
-            for cell in cells.values():
-                split = []
-                for key, m in parts:
-                    for sm in cell.values():
-                        hit = m & sm
-                        if hit:
-                            split.append((key, hit))
-                            m ^= hit
-                            if not m:
-                                break
-                    if m:
-                        split.append((key, m))
-                parts = split
-        out = []
-        for (state, heads), m in parts:
-            bit = m & -m  # one branch stands for all of its part
-            tracks = [
-                {pos: sym for pos, cell in cells.items()
-                 for sym, sm in cell.items() if sm & bit}
-                for cells in self.tracks
-            ]
-            out.append((make_configuration(state, tracks, heads), m))
-        return out
+    def branch(self, i: int) -> Configuration:
+        """Branch ``i`` read back as a configuration."""
+        bit = 1 << i
+        state, heads = next(key for key, m in self.groups.items() if m & bit)
+        tracks = [
+            {pos: sym for pos, cell in cells.items() for sym, sm in cell.items() if sm & bit}
+            for cells in self.tracks
+        ]
+        return make_configuration(state, tracks, heads)

@@ -8,10 +8,10 @@ unitarity certificate, a collapse that measures in the configuration basis
 and then runs one weighted pass that erases tracks 1, 2 and 0 (in that
 order, so branches merge by result bit before the long input sweep), and a
 detection loop that drives the result weight through the logistic map while
-a binary counter bounds the number of iterations. The unitary part, the
-erasure and the classical replays run on bit planes (:mod:`.planes`); the
-handoff and the detection loop, one or two configurations each, run on
-:func:`~.machine.step`.
+a binary counter bounds the number of iterations. Every phase, and the
+classical replays, run on bit planes (:mod:`.planes`); the rule-by-rule
+engine (:func:`~.machine.step`) is the reference the tests compare them
+against.
 
 Every phase's table depends only on the variable count, never on the clauses:
 the instance enters purely through the track-0 encoding. The six tables that
@@ -42,14 +42,11 @@ from ..config import (
 from ..sat import SatInstance
 from .machine import (
     BLANK,
-    EMPTY_TAPE,
-    ConfigSuperposition,
     Configuration,
     Phase,
     TransitionFunction,
     make_configuration,
     rule,
-    run_phase,
 )
 from .planes import LockstepError, Mask, Planes
 
@@ -376,59 +373,69 @@ class GqtmRun:
     unitary_steps: int
 
 
-def collapse(planes: Planes, machine: SatMachine) -> ConfigSuperposition:
-    """The measurement channel, run as one weighted pass.
+def collapse(planes: Planes, machine: SatMachine) -> tuple[Mask, Mask]:
+    """The measurement channel, run as one weighted pass on the planes.
 
     Measuring in the configuration basis turns each branch into its weight
     |amplitude|² = 2^-forks; the caller has checked that no two branches are
-    one configuration, whose amplitudes would interfere. The erase table is
-    deterministic with amplitude 1, so it runs on the planes, and the
-    branches it leaves in one configuration add their weights when the
-    planes are read back. Handoff then steps that readout, at most one
-    configuration per result bit, through :func:`~.machine.step`. Returns
-    configuration → weight. Raises ``ArithmeticError`` unless the readout
-    accounts for every branch, so that the weights sum to 1 exactly.
+    one configuration, whose amplitudes would interfere. The erase and
+    handoff tables are deterministic with amplitude 1, so they step those
+    weights as they would step amplitudes, and a set of branches weighs its
+    popcount times 2^-forks. Returns the masks of the branches that end in
+    ``accept`` and in ``loop_idle``.
+
+    Raises ``ArithmeticError`` unless every branch is read out, so that the
+    weights sum to 1 exactly, and ``RuntimeError`` unless the erasure blanks
+    tracks 0-2 and leaves one configuration per result bit; a result cell
+    that holds no bit stops handoff with ``StuckConfigurationError``.
     """
     erase, handoff = (machine.phase(name) for name in COLLAPSE_STAGE)
     planes.run_phase(erase)
-    readout = planes.configurations()
-    counted = sum(m.bit_count() for _, m in readout)
+    counted = planes.live()
     if counted != planes.width:
         raise ArithmeticError(
             f"collapse is not trace-preserving: {counted} of {planes.width} branches "
             f"read out"
         )
-    if len({c.symbol_at(3, 0) for c, _ in readout}) != len(readout):
+    if any(planes.tracks[:3]):
+        written = {t: sorted(cells) for t, cells in enumerate(planes.tracks[:3]) if cells}
         raise RuntimeError(
-            f"erasure left {len(readout)} configurations, expected one per result bit"
+            f"workspace tracks not blank after erasure: cells {written} hold symbols"
         )
-    rho = ConfigSuperposition({c: planes.mass(m.bit_count()) for c, m in readout})
-    rho, _ = run_phase(rho, handoff)
-    return rho
+    planes.run_phase(handoff)
+    ends: dict[str, Mask] = {}
+    for (state, _), m in planes.groups.items():
+        ends[state] = ends.get(state, 0) | m
+    configs = planes.count_configurations()
+    if configs != len(ends):
+        raise RuntimeError(
+            f"erasure left {configs} configurations, expected one per result bit"
+        )
+    return ends.get("accept", 0), ends.get("loop_idle", 0)
 
 
 def run_sat_gqtm(inst: SatInstance, params: LogisticParams = LogisticParams(), *,
-                 max_vars: int = DEFAULT_MAX_MACHINE_VARS,
                  jsonl_sink: IO[str] | None = None) -> GqtmRun:
     """Full pipeline: unitary stage, collapse, then the detection loop.
 
-    The unitary stage runs on bit planes (:class:`~.planes.Planes`), and
-    ``branch_count`` is the number of distinct configurations it ends in.
-    The collapse (:func:`collapse`) measures in the configuration basis
-    (branch weight equals squared amplitude), blanks the workspace and merges
-    identical branches — leaving one configuration per result bit whose
-    weight is the model fraction, exactly r/2^n. That weight drives the
-    logistic map, testing the threshold before each iteration, until it
-    crosses (satisfiable) or the counter reaches the iteration limit
-    (unsatisfiable when the weight is exactly zero). An invariant break
-    raises ``ArithmeticError`` (norm, trace, a weight off the 2^-n grid) or
-    ``RuntimeError`` (:class:`~.planes.LockstepError` among them).
+    Every phase runs on bit planes (:class:`~.planes.Planes`), and
+    ``branch_count`` is the number of distinct configurations the unitary
+    stage ends in. The collapse (:func:`collapse`) measures in the
+    configuration basis (branch weight equals squared amplitude), blanks the
+    workspace and hands off on the result bit, so the weight of the
+    accepting branches is the model fraction, exactly r/2^n. That weight
+    drives the logistic map, testing the threshold before each iteration,
+    until it crosses (satisfiable) or the counter, stepped on one waiting
+    branch, reaches the iteration limit (unsatisfiable when the weight is
+    exactly zero). An invariant break raises ``ArithmeticError`` (norm,
+    trace, a weight off the 2^-n grid) or ``RuntimeError``
+    (:class:`~.planes.LockstepError` among them).
     """
     n = inst.num_vars
-    if n > max_vars:
+    if n > DEFAULT_MAX_MACHINE_VARS:
         raise GuardExceeded(
-            f"machine run with {n} variables exceeds the {max_vars}-variable guard "
-            f"(override with max_vars)"
+            f"machine run with {n} variables exceeds the "
+            f"{DEFAULT_MAX_MACHINE_VARS}-variable guard"
         )
     machine = sat_machine(n)
     rows = itertools.count(1)  # JSONL step numbers, across both stages
@@ -462,28 +469,19 @@ def run_sat_gqtm(inst: SatInstance, params: LogisticParams = LogisticParams(), *
             f"{live - branch_count} branches coincide with others before the "
             f"collapse; the planes cannot weigh their interference"
         )
-    rho = collapse(planes, machine)
-    loop_psi = None
-    w1_raw = 0.0
-    w0_raw = 0.0
-    for config, weight in rho.branches.items():
-        if config.tracks[:3] != (EMPTY_TAPE,) * 3:
-            raise RuntimeError(
-                f"workspace tracks not blank after erasure: {config.tracks[:3]!r}"
-            )
-        bit = config.symbol_at(3, 0)
-        if bit == "1":
-            w1_raw = weight.real
-        elif bit == "0":
-            loop_psi, w0_raw = ConfigSuperposition.pure(config), weight.real
-        else:
-            raise RuntimeError(f"result cell holds {bit!r}, expected a bit")
+    accept, idle = collapse(planes, machine)
+    w1_raw = planes.mass(accept.bit_count())
+    w0_raw = planes.mass(idle.bit_count())
+    results = (accept != 0) + (idle != 0)  # result values present
 
     q_squared, r_estimate = snap_dyadic(w1_raw, n)
     if q_squared != w1_raw:
         raise ArithmeticError(f"result weight {w1_raw!r} is not a multiple of 2^-{n}")
     bounds = k_bounds(n, r_estimate, params.a) if r_estimate >= 1 else None
 
+    loop = None
+    if idle:  # the counter runs on one waiting branch
+        loop = Planes.from_configuration(planes.branch((idle & -idle).bit_length() - 1))
     xs = [q_squared]
     w1 = q_squared
     k = 0
@@ -491,18 +489,18 @@ def run_sat_gqtm(inst: SatInstance, params: LogisticParams = LogisticParams(), *
     decision = None
     while True:
         if jsonl_sink is not None:
-            write_row(len(rho), 1.0, w1)
+            write_row(results, 1.0, w1)
         if w1 > params.threshold:
             decision, k_star = "SAT", k
             break
-        if loop_psi is None:
+        if loop is None:
             raise RuntimeError("no loop component yet the weight never crossed")
-        loop_psi, _ = run_phase(loop_psi, machine.phase("compare"))
-        (config,) = loop_psi.branches
-        if config.state == "cmp_eq_done":
+        loop.run_phase(machine.phase("compare"))
+        ((state, _),) = loop.groups
+        if state == "cmp_eq_done":
             decision = "UNSAT" if w1 == 0.0 else "INCONCLUSIVE"
             break
-        loop_psi, _ = run_phase(loop_psi, machine.phase("increment"))
+        loop.run_phase(machine.phase("increment"))
         w1 = logistic_step(w1, params.a)
         xs.append(w1)
         k += 1
@@ -556,8 +554,9 @@ def _bit_plane(planes: Planes, track: int, pos: int, phase: Phase) -> Mask:
     covered = cell.get("0", 0) | cell.get("1", 0)
     if cell.keys() - {"0", "1"} or covered != (1 << planes.width) - 1:
         raise RuntimeError(
-            f"track {track} cell {pos} holds {cell!r} after the {phase.name} phase, "
-            f"expected a bit on every branch"
+            f"track {track} cell {pos} holds {sorted(cell)} on {covered.bit_count()} "
+            f"of {planes.width} branches after the {phase.name} phase, expected a "
+            f"bit on every branch"
         )
     return cell.get("1", 0)
 

@@ -32,11 +32,13 @@ from satchaos.gqtm.machine import (
 )
 from satchaos.gqtm.planes import LockstepError, Planes
 from satchaos.gqtm.program import (
+    AND_EVAL,
     COLLAPSE_STAGE,
     ERASE,
     HANDOFF,
     OR_EVAL,
     UNITARY_STAGE,
+    _bit_plane,
     collapse,
     encode_sat_input,
     initial_configuration,
@@ -281,9 +283,9 @@ def test_table_certificates(num_vars):
     machine = sat_machine(num_vars)
     reports = {p.name: check_wellformed(p.delta) for p in machine.phases}
     for name, report in reports.items():
-        assert not report.normalization_defects, (name, report.summary())
+        assert not report.normalization_defects, report
     for name in ("setup", "dft", "or_eval", "and_eval", "handoff", "increment", "compare"):
-        assert reports[name].unitary, reports[name].summary()
+        assert reports[name].unitary, reports[name]
     assert not reports["dft"].deterministic
     for name in ("setup", "or_eval", "and_eval", "erase", "handoff", "increment", "compare"):
         assert reports[name].deterministic, name
@@ -389,9 +391,18 @@ def test_small_instances_match_amplifier():
 def test_variable_guard():
     with pytest.raises(GuardExceeded, match="17 variables"):
         run_sat_gqtm(instance_from_ints(17, [[1, 2, 3]]))
-    # and the documented override
-    result = run_sat_gqtm(instance_from_ints(17, [[1, 2, 3]]), max_vars=17)
-    assert result.q_squared == 7 / 8 and result.branch_count == 1 << 17
+    result = run_sat_gqtm(instance_from_ints(16, [[1, 2, 3]]))  # the widest accepted
+    assert result.q_squared == 7 / 8 and result.branch_count == 1 << 16
+
+
+@pytest.mark.parametrize("num_vars", [4, 8, 12, 16])
+def test_counter_reaches_the_limit_at_every_accepted_width(num_vars):
+    """An unsatisfiable run exits through compare's equal branch, so the
+    counter must count up to the iteration limit at every width the guard
+    accepts."""
+    result = run_sat_gqtm(instance_from_ints(num_vars, [[1], [-1]]))
+    assert result.decision == "UNSAT"
+    assert result.trace.x == (0.0,) * (iteration_window(num_vars) + 1)
 
 
 def test_classical_branches_match_eval():
@@ -406,6 +417,14 @@ def test_classical_branches_match_eval():
     with pytest.raises(ValueError):
         run_classical_branches(WORKED, [(0, 1, 0), (0, 2, 0)])
     assert run_classical_branches(WORKED, []) == []
+
+
+@pytest.mark.parametrize("width", [8, 1 << 14])  # masks too wide to print
+def test_replay_readout_refuses_a_cell_without_a_bit(width):
+    full = (1 << width) - 1
+    planes = Planes(width, {}, [{}, {}, {}, {0: {"1": full >> 1, "A": 1 << (width - 1)}}])
+    with pytest.raises(RuntimeError, match=rf"\['1', 'A'\] on {width - 1} of {width}"):
+        _bit_plane(planes, 3, 0, AND_EVAL)
 
 
 @given(small_cnfs_up_to(8), st.data())
@@ -516,12 +535,18 @@ def _planes_stage(inst, on_step=None):
 
 
 def _amplitudes(planes):
-    """The planes read back as configuration → amplitude."""
+    """The planes read back branch by branch as configuration → amplitude."""
     scale = 2 ** (-planes.forks / 2)
-    return {
-        config: ((m & ~planes.sign).bit_count() - (m & planes.sign).bit_count()) * scale
-        for config, m in planes.configurations()
-    }
+    amplitudes = {}
+    for i in range(planes.width):
+        config = planes.branch(i)
+        amp = -scale if planes.sign >> i & 1 else scale
+        amplitudes[config] = amplitudes.get(config, 0.0) + amp
+    return amplitudes
+
+
+def _lowest(mask):
+    return (mask & -mask).bit_length() - 1
 
 
 def _dict_collapse(psi, machine):
@@ -567,9 +592,13 @@ def test_one_pass_collapse_matches_per_component_reference():
         reference = _per_component_collapse(machine, psi)
         dict_pass = _dict_collapse(psi, machine).branches
         _, planes, _ = _planes_stage(inst)
-        planes_pass = collapse(planes, machine).branches
+        accept, idle = collapse(planes, machine)
+        # Every branch of a mask is one configuration (collapse checks it).
+        planes_pass = {
+            planes.branch(_lowest(m)): planes.mass(m.bit_count())
+            for m in (accept, idle) if m
+        }
         assert dict_pass.keys() == planes_pass.keys() == reference.keys(), inst
-        assert len(planes_pass) <= 2, inst
         r = count_models(inst)
         for config, weight in planes_pass.items():
             exact = r if config.symbol_at(3, 0) == "1" else 2**inst.num_vars - r
@@ -580,12 +609,41 @@ def test_one_pass_collapse_matches_per_component_reference():
 
 def test_collapse_certifies_the_weights_sum_to_one():
     machine, planes, _ = _planes_stage(WORKED)
-    assert sum(collapse(planes, machine).branches.values()) == 1.0
+    accept, idle = collapse(planes, machine)
+    assert accept & idle == 0 and accept | idle == (1 << planes.width) - 1
+    assert planes.mass(accept.bit_count()) + planes.mass(idle.bit_count()) == 1.0
 
     machine, planes, _ = _planes_stage(WORKED)
     ((key, mask),) = planes.groups.items()
     planes.groups[key] = mask & ~(1 << 5)  # plant a lost branch
     with pytest.raises(ArithmeticError, match="trace-preserving"):
+        collapse(planes, machine)
+
+
+def _plant_stray_track_1_cell(planes):
+    # Beyond the assignment bits and a blank, where the erasure never looks.
+    planes.tracks[1][max(planes.tracks[1]) + 4] = {"1": (1 << planes.width) - 1}
+
+
+def _plant_track_3_cell_on_one_branch(planes):
+    planes.tracks[3][40] = {"1": 1 << 3}  # past the counter, on branch 3 only
+
+
+def _plant_non_bit_result(planes):
+    planes.tracks[3][0] = {"A": (1 << planes.width) - 1}
+
+
+@pytest.mark.parametrize("plant, error, match", [
+    (_plant_stray_track_1_cell, RuntimeError, "not blank"),
+    (_plant_track_3_cell_on_one_branch, RuntimeError, "one per result bit"),
+    (_plant_non_bit_result, StuckConfigurationError, "handoff_read"),
+], ids=["stray-workspace-cell", "split-result-configuration", "non-bit-result"])
+@pytest.mark.parametrize("inst", [WORKED, instance_from_ints(14, [[1, 2, 3]])],
+                         ids=["worked", "n14"])  # masks too wide to print
+def test_collapse_refuses_a_broken_readout(plant, error, match, inst):
+    machine, planes, _ = _planes_stage(inst)
+    plant(planes)
+    with pytest.raises(error, match=match):
         collapse(planes, machine)
 
 
@@ -601,7 +659,7 @@ def _assert_executor_matches_reference(inst):
     assert planes.count_configurations() == len(amplitudes) == len(psi), inst
 
     reference = _per_component_collapse(machine, psi)
-    result = run_sat_gqtm(inst, max_vars=inst.num_vars)
+    result = run_sat_gqtm(inst)
     assert result.branch_count == len(psi), inst
     assert result.unitary_steps == steps, inst
     bits = {config.symbol_at(3, 0): w for config, w in reference.items()}
@@ -649,6 +707,8 @@ def test_jsonl_rows_match_the_dict_engine(inst):
     loop_rows = rows[len(reference):]
     assert [row["halting_prob"] for row in loop_rows] == list(result.trace.x)
     assert all(row["norm"] == 1.0 for row in loop_rows)
+    results = len(_dict_collapse(psi, machine))  # result values present
+    assert all(row["branch_count"] == results for row in loop_rows)
 
 
 def _fork_table(amps_on_0, amps_on_1) -> TransitionFunction:

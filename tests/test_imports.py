@@ -1,5 +1,6 @@
 """Every name a module imports is used in it, every import in ``src/`` sits
-at module level, and every runtime dependency is imported by the package.
+at module level, every runtime dependency is imported by the package, and
+the request path imports no reference engine.
 
 Package ``__init__.py`` files are skipped by the unused-name scan: their
 imports are re-exports.
@@ -119,3 +120,68 @@ def test_every_dependency_is_imported():
         for dep in project["dependencies"]
     ]
     assert [name for name in declared if name not in imported] == []
+
+
+# The engines the tests hold the fast ones to: the dense statevector, and the
+# rule-by-rule machine with its superpositions.
+REFERENCE_ENGINES = (
+    "satchaos.quantum",
+    "satchaos.gqtm.machine",  # the module itself would reach its step
+    "satchaos.gqtm.machine.step",
+    "satchaos.gqtm.machine.run_phase",
+    "satchaos.gqtm.machine.rebase",
+    "satchaos.gqtm.machine.ConfigSuperposition",
+)
+# What solve, trace and run_sat_gqtm run. ``verify.py`` is not among them:
+# its interference check steps the reference on purpose.
+REQUEST_PATH = ("circuit.py", "pipeline.py", "gqtm/program.py", "gqtm/planes.py")
+
+
+def imported_names(source: str, package: str) -> list[tuple[int, str]]:
+    """(line, absolute dotted name) of every module or name imported by a
+    module of ``package``, relative imports resolved."""
+    parts = package.split(".")
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found += [(node.lineno, alias.name) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = parts[:len(parts) - node.level + 1] if node.level else []
+            module = ".".join(base + ([node.module] if node.module else []))
+            found += [(node.lineno, f"{module}.{alias.name}") for alias in node.names]
+    return found
+
+
+def reference_imports(source: str, package: str) -> list[tuple[int, str]]:
+    return [
+        (line, name) for line, name in imported_names(source, package)
+        if name in REFERENCE_ENGINES or name.startswith("satchaos.quantum.")
+    ]
+
+
+def test_reference_imports_are_found():
+    source = (
+        "from .machine import BLANK, run_phase\n"
+        "from .. import quantum\n"
+        "from ..quantum import StateVector\n"
+        "import satchaos.gqtm.machine\n"
+        "from .planes import Planes\n"
+    )
+    assert reference_imports(source, "satchaos.gqtm") == [
+        (1, "satchaos.gqtm.machine.run_phase"),
+        (2, "satchaos.quantum"),
+        (3, "satchaos.quantum.StateVector"),
+        (4, "satchaos.gqtm.machine"),
+    ]
+
+
+def test_request_path_imports_no_reference_engine():
+    found = [
+        f"{module}:{line}: {name}"
+        for module in REQUEST_PATH
+        for line, name in reference_imports(
+            (ROOT / "src/satchaos" / module).read_text(),
+            ".".join(("satchaos", *Path(module).parent.parts)),
+        )
+    ]
+    assert found == []
