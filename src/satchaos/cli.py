@@ -3,9 +3,9 @@
 Exit codes are fixed for CI use: 0 success, 1 input error, 2 guard refusal,
 3 verification findings, 4 internal invariant break (an ``ArithmeticError``
 or ``RuntimeError`` such as norm drift or a stuck machine). Reports are JSON
-with sorted keys; traces and sweeps are CSV. With --deterministic the
-wall-clock timings are dropped so identical flags (and seed) give
-byte-identical bytes.
+with sorted keys; traces and sweeps are CSV. ``solve --deterministic`` drops
+the wall-clock timings, so identical flags give byte-identical reports; the
+other commands emit no timings.
 """
 
 from __future__ import annotations
@@ -57,8 +57,6 @@ def _add_run_flags(sub: argparse.ArgumentParser) -> None:
                      help="logistic parameter (default %(default)s)")
     sub.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD,
                      help="detection threshold (default %(default)s)")
-    sub.add_argument("--deterministic", action="store_true",
-                     help="omit timings so identical flags give identical bytes")
 
 
 @functools.cache  # built on first use, then reused by every main() call
@@ -72,6 +70,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     solve = commands.add_parser("solve", help="decide one instance, emit a JSON report")
     _add_run_flags(solve)
+    solve.add_argument("--deterministic", action="store_true",
+                       help="omit timings so identical flags give identical bytes")
     solve.add_argument("--json", metavar="PATH", help="write the report here instead of stdout")
 
     trace = commands.add_parser("trace", help="emit the amplifier trace as CSV")
@@ -88,7 +88,6 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--n", type=_parse_range, default=(2, 40), metavar="LO..HI",
                         help="variable range for the bounds suite")
     verify.add_argument("--json", metavar="PATH")
-    verify.add_argument("--deterministic", action="store_true")
 
     sweep = commands.add_parser("sweep", help="crossing-index sweep as CSV")
     sweep.add_argument("--n", type=_parse_range, default=(2, 40), metavar="LO..HI")

@@ -9,11 +9,14 @@ amplitudes of identical successors, so destructive interference prunes
 branches exactly. After a measurement in the configuration basis, a
 deterministic table steps probability weights the way it steps amplitudes.
 
-This rule-by-rule engine is the reference. The SAT program runs every phase
-on bit planes (:mod:`.planes`), and the tests hold those planes to
-:func:`step` amplitude for amplitude, as they hold the circuit's bit planes
-to the dense statevector (:mod:`satchaos.quantum`). ``verify``'s
-interference check steps it on purpose. Mixed configurations —
+This rule-by-rule engine is the reference: :func:`step` reads
+``TransitionFunction.rules`` and applies each :class:`Rule` as written. The
+SAT program runs every phase on bit planes (:mod:`.planes`), whose step reads
+``TransitionFunction.compiled``, the executor's form of the same rows. The
+tests hold those planes to :func:`step` amplitude for amplitude, as they
+hold the circuit's bit planes to the dense statevector
+(:mod:`satchaos.quantum`). ``verify``'s interference check steps it on
+purpose. Mixed configurations —
 probability-weighted lists of superpositions, measured and merged component
 by component — are the reference for the collapse.
 """
@@ -21,7 +24,7 @@ by component — are the reference for the collapse.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import add, itemgetter
+from operator import itemgetter
 from typing import Callable, Iterable, Mapping
 
 from ..config import AMPLITUDE_PRUNE_EPS, SINGLE_OP_ATOL
@@ -99,13 +102,10 @@ class Configuration(tuple):
         return _read(self[1][track], pos)
 
     def with_state(self, state: str) -> "Configuration":
-        return _new(Configuration, (state, self[1], self[2]))
+        return Configuration(state, self[1], self[2])
 
     def __repr__(self) -> str:
         return f"Configuration({self[0]!r}, tracks={self[1]!r}, heads={self[2]!r})"
-
-
-_new = tuple.__new__
 
 
 def make_configuration(state: str, tracks: Iterable[Mapping[int, str]],
@@ -155,9 +155,9 @@ class StuckConfigurationError(RuntimeError):
 
 WILDCARD = "*"
 
-#: One rule in the form :func:`step` applies: (amplitude, next state, the
-#: writes that change a cell, per-track head shifts or ``None`` when no head
-#: moves).
+#: One rule in the form :meth:`.planes.Planes.step` applies: (amplitude, next
+#: state, the writes that change a cell, per-track head shifts or ``None``
+#: when no head moves).
 CompiledRule = tuple[complex, str, tuple[tuple[int, str], ...], "tuple[int, ...] | None"]
 
 
@@ -180,7 +180,7 @@ class TransitionFunction:
         self.write_tracks = tuple(write_tracks)
         self.alphabets = {t: tuple(alphabets[t]) for t in self.read_tracks}
         self.rules: dict[tuple[str, tuple[str, ...]], tuple[Rule, ...]] = {}
-        #: ``rules`` compiled for :func:`step`, key for key.
+        #: ``rules`` compiled for :meth:`.planes.Planes.step`, key for key.
         self.compiled: dict[tuple[str, tuple[str, ...]], tuple[CompiledRule, ...]] = {}
         for t in self.read_tracks + self.write_tracks:
             if not 0 <= t < num_tracks:
@@ -212,7 +212,7 @@ class TransitionFunction:
         """``r`` for the key reading ``reads``, less each write of the symbol
         already read on that track (a write that changes nothing)."""
         shift = None
-        if r.moves:
+        if any(move for _, move in r.moves):
             shift = [0] * self.num_tracks
             for track, move in r.moves:
                 shift[track] = move
@@ -275,44 +275,27 @@ def step(psi: ConfigSuperposition, delta: TransitionFunction,
     identical successors add their weights.
     """
     out: dict[Configuration, complex] = {}
-    upsert = out.setdefault
-    compiled, read_tracks = delta.compiled, delta.read_tracks
     for config, amp in psi.branches.items():
         state, tracks, heads = config
         if state in halting_states:
-            # Keys of psi are distinct, so amp was never inserted before.
-            prev = upsert(config, amp)
-            if prev is not amp:
-                out[config] = prev + amp
+            out[config] = out.get(config, 0) + amp
             continue
-        symbols = []
-        for t in read_tracks:  # _read, inlined: a call per track costs more
-            origin, cells = tracks[t]
-            i = heads[t] - origin
-            symbols.append(cells[i] if 0 <= i < len(cells) else BLANK)
-        symbols = tuple(symbols)
-        targets = compiled.get((state, symbols))
+        symbols = tuple(config.read(t) for t in delta.read_tracks)
+        targets = delta.rules.get((state, symbols))
         if targets is None:
             raise StuckConfigurationError(state, symbols, heads)
-        for amplitude, next_state, writes, shift in targets:
-            succ_tracks = tracks
-            if writes:
-                succ_tracks = list(tracks)
-                for track, sym in writes:
-                    succ_tracks[track] = _write(succ_tracks[track], heads[track], sym)
-                succ_tracks = tuple(succ_tracks)
-            succ = _new(Configuration, (
-                next_state, succ_tracks,
-                heads if shift is None else tuple(map(add, heads, shift)),
-            ))
-            x = amp * amplitude  # a new complex object, so ``is`` tells a hit
-            prev = upsert(succ, x)
-            if prev is not x:
-                out[succ] = prev + x
-    if out and min(map(abs, out.values())) < AMPLITUDE_PRUNE_EPS:  # rarely true
-        for config in [c for c, a in out.items() if abs(a) < AMPLITUDE_PRUNE_EPS]:
-            del out[config]
-    return ConfigSuperposition(out)
+        for r in targets:
+            succ_tracks = list(tracks)
+            for track, sym in r.writes:
+                succ_tracks[track] = _write(succ_tracks[track], heads[track], sym)
+            succ_heads = list(heads)
+            for track, move in r.moves:
+                succ_heads[track] += move
+            succ = Configuration(r.next_state, tuple(succ_tracks), tuple(succ_heads))
+            out[succ] = out.get(succ, 0) + amp * r.amplitude
+    return ConfigSuperposition(
+        {c: a for c, a in out.items() if abs(a) >= AMPLITUDE_PRUNE_EPS}
+    )
 
 
 @dataclass(frozen=True)
@@ -442,14 +425,15 @@ def check_wellformed(delta: TransitionFunction) -> WellformedReport:
         if abs(total - 1.0) > SINGLE_OP_ATOL:
             norm_defects.append((state, syms, total))
 
-    keys = sorted(delta.rules)
+    rows = [
+        (q, a, {_effective_target(delta, a, r): r.amplitude for r in delta.rules[(q, a)]})
+        for q, a in sorted(delta.rules)
+    ]
     ortho_defects = []
-    for i, (q1, a1) in enumerate(keys):
-        vec1 = {_effective_target(delta, a1, r): r.amplitude for r in delta.rules[(q1, a1)]}
-        for q2, a2 in keys[i + 1:]:
+    for i, (q1, a1, vec1) in enumerate(rows):
+        for q2, a2, vec2 in rows[i + 1:]:
             if q1 == q2 or a1 == a2:
                 continue
-            vec2 = {_effective_target(delta, a2, r): r.amplitude for r in delta.rules[(q2, a2)]}
             overlap = sum(
                 vec1[k] * vec2[k].conjugate() for k in vec1.keys() & vec2.keys()
             )

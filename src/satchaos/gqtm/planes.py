@@ -1,22 +1,22 @@
 """Lockstep bit-plane executor for machine phases.
 
-In the SAT program every branch of the unitary stage moves its heads the
-same way, and none merges with another before the measurement. So a run is
-held as bit planes, in the idiom of :func:`satchaos.circuit.bit_planes`:
-one bit per branch in every mask, a mask being a Python int.
+In the SAT program every branch moves its heads the same way, and none
+merges with another before the measurement. So a run is held as bit planes,
+in the idiom of :func:`satchaos.circuit.bit_planes`: one bit per branch in
+every mask, a mask being a Python int, and one head vector that every
+branch shares.
 
 - Each track maps a position to ``{symbol: mask}``. A cell is blank for the
   branches whose bit is set under none of its symbols.
-- Groups map ``(state, heads)`` to the mask of the branches in that state
-  with those heads.
+- Groups map a state to the mask of the branches in that state.
 - The sign plane marks the branches whose amplitude is negative. After k
   forks every branch has magnitude 2^(-k/2), so amplitudes need no floats.
 
-A step splits each group by the symbols under its heads, looks up one row
-of δ per read tuple that occurs and applies it as masked plane updates. A
-two-target row (the Hadamard rows of ``dft``) doubles the index space: the
-first target writes into the lower copy of the branches, the second into
-the upper one. Branches are never merged on the planes, so two branches
+A step splits each group by the symbols under the heads, looks up one row
+of δ per read tuple that occurs, applies it as masked plane updates and
+then the one head shift that every row taken shares. A two-target row (the
+Hadamard rows of ``dft``) doubles the index space: the first target writes
+into the lower copy of the branches, the second into the upper one. Branches are never merged on the planes, so two branches
 may come to hold one configuration: :meth:`Planes.count_configurations`
 counts the distinct ones, and a measurement weighs a set of branches by its
 popcount, which gives the same result as merging step by step, because δ is
@@ -28,8 +28,9 @@ The SAT program runs every phase here; the rule-by-rule engine
 
 from __future__ import annotations
 
+from functools import reduce
 from math import ldexp
-from operator import add
+from operator import add, or_
 from typing import Callable
 
 import numpy as np
@@ -46,7 +47,6 @@ from .machine import (
 )
 
 Mask = int
-Key = tuple[str, tuple[int, ...]]  # (state, heads)
 
 
 class LockstepError(RuntimeError):
@@ -54,8 +54,10 @@ class LockstepError(RuntimeError):
 
     Raised for a forking step in which some branch does not fork (it reads a
     one-target row or has halted) or forks with a target weight |amp|² ≠ ½,
-    for a row with more than two targets, and for a one-target row whose
-    amplitude is not ±1. The CLI maps it, as a ``RuntimeError``, to exit 4.
+    for a row with more than two targets, for a one-target row whose
+    amplitude is not ±1, for a step whose rows or fork targets would move
+    the heads apart, and for a step that moves the heads while some branch
+    has halted. The CLI maps it, as a ``RuntimeError``, to exit 4.
     """
 
 
@@ -63,15 +65,17 @@ class Planes:
     """Branches of one machine run, as bit planes (see the module docstring).
 
     ``width`` is the size of the branch index space, 2^forks for a run that
-    starts from one configuration; every index is a live branch.
+    starts from one configuration; every index is a live branch. ``heads``
+    holds every branch's head positions.
     """
 
-    __slots__ = ("width", "forks", "groups", "tracks", "sign")
+    __slots__ = ("width", "forks", "heads", "groups", "tracks", "sign")
 
-    def __init__(self, width: int, groups: dict[Key, Mask],
+    def __init__(self, width: int, heads: tuple[int, ...], groups: dict[str, Mask],
                  tracks: list[dict[int, dict[str, Mask]]]):
         self.width = width
         self.forks = 0
+        self.heads = heads
         self.groups = groups
         self.tracks = tracks
         self.sign: Mask = 0
@@ -83,7 +87,7 @@ class Planes:
             {origin + i: {sym: 1} for i, sym in enumerate(symbols) if sym != BLANK}
             for origin, symbols in tapes
         ]
-        return cls(1, {(state, heads): 1}, tracks)
+        return cls(1, heads, {state: 1}, tracks)
 
     def live(self) -> int:
         """Number of branches in some group."""
@@ -99,14 +103,14 @@ class Planes:
             for cell in cells.values():
                 for sym, m in cell.items():
                     cell[sym] = m | m << shift
-        self.groups = {key: m | m << shift for key, m in self.groups.items()}
+        self.groups = {state: m | m << shift for state, m in self.groups.items()}
         self.sign |= self.sign << shift
         self.width *= 2
         self.forks += 1
 
-    def _write(self, heads: tuple[int, ...], m: Mask, writes) -> None:
+    def _write(self, m: Mask, writes) -> None:
         """Apply one row's writes to the branches of ``m``."""
-        tracks = self.tracks
+        tracks, heads = self.tracks, self.heads
         for track, sym in writes:
             cells = tracks[track]
             pos = heads[track]
@@ -134,18 +138,19 @@ class Planes:
 
         Returns whether some branch is still outside ``finals``.
         """
-        compiled, read_tracks, tracks = delta.compiled, delta.read_tracks, self.tracks
-        groups: dict[Key, Mask] = {}
+        compiled, tracks, heads = delta.compiled, self.tracks, self.heads
+        cells = []  # under the heads; a loop, as a comprehension costs more per step
+        for t in delta.read_tracks:
+            cells.append(tracks[t].get(heads[t]))
+        groups: dict[str, Mask] = {}
         moves = []
         forking = False
-        for key, mask in self.groups.items():
-            state, heads = key
+        for state, mask in self.groups.items():
             if state in finals:
-                groups[key] = groups.get(key, 0) | mask
+                groups[state] = mask
                 continue
             parts = [((), mask)]
-            for t in read_tracks:
-                cell = tracks[t].get(heads[t])
+            for cell in cells:
                 if cell is None:
                     parts = [(syms + (BLANK,), m) for syms, m in parts]
                     continue
@@ -167,10 +172,10 @@ class Planes:
                     raise StuckConfigurationError(state, syms, heads)
                 if len(rules) > 1:
                     forking = True
-                moves.append((heads, m, rules))
+                moves.append((m, rules))
 
         if forking:
-            if groups or any(len(rules) != 2 for *_, rules in moves):
+            if groups or any(len(rules) != 2 for _, rules in moves):
                 raise LockstepError(
                     f"{delta.name}: a forking step in which some branch does not "
                     f"fork in two"
@@ -178,12 +183,21 @@ class Planes:
             lower = self.width
             self._double()
             moves = [
-                (heads, m << lower * copy, (rule,))
-                for heads, m, rules in moves
+                (m << lower * copy, (rule,))
+                for m, rules in moves
                 for copy, rule in enumerate(rules)
             ]
+        shift = moves[0][1][0][3] if moves else None
+        if shift is not None and groups:
+            raise LockstepError(
+                f"{delta.name}: a step that moves the heads while some branch has halted"
+            )
         running = False
-        for heads, m, ((amp, next_state, writes, shift),) in moves:
+        for m, ((amp, next_state, writes, row_shift),) in moves:
+            if row_shift != shift:
+                raise LockstepError(
+                    f"{delta.name}: a step whose rows move the heads apart"
+                )
             if forking:
                 if amp.imag or abs(amp.real * amp.real - 0.5) > SINGLE_OP_ATOL:
                     raise LockstepError(
@@ -198,11 +212,12 @@ class Planes:
                     )
                 self.sign ^= m
             if writes:
-                self._write(heads, m, writes)
-            key = (next_state, heads if shift is None else tuple(map(add, heads, shift)))
-            groups[key] = groups.get(key, 0) | m
+                self._write(m, writes)
+            groups[next_state] = groups.get(next_state, 0) | m
             if next_state not in finals:
                 running = True
+        if shift is not None:
+            self.heads = tuple(map(add, heads, shift))
         self.groups = groups
         return running
 
@@ -214,11 +229,7 @@ class Planes:
         ``phase.entry``, and ``on_step(planes, halting_mass)`` sees each step.
         Returns the number of steps taken.
         """
-        entered: dict[Key, Mask] = {}
-        for (_, heads), m in self.groups.items():
-            key = (phase.entry, heads)
-            entered[key] = entered.get(key, 0) | m
-        self.groups = entered
+        self.groups = {phase.entry: reduce(or_, self.groups.values(), 0)}
         finals = phase.finals
         steps = 0
         running = phase.entry not in finals
@@ -230,7 +241,7 @@ class Planes:
             running = self.step(phase.delta, finals)
             steps += 1
             if on_step is not None:
-                halted = sum(m.bit_count() for (s, _), m in self.groups.items() if s in finals)
+                halted = sum(m.bit_count() for s, m in self.groups.items() if s in finals)
                 on_step(self, self.mass(halted))
         return steps
 
@@ -278,9 +289,9 @@ class Planes:
     def branch(self, i: int) -> Configuration:
         """Branch ``i`` read back as a configuration."""
         bit = 1 << i
-        state, heads = next(key for key, m in self.groups.items() if m & bit)
+        state = next(s for s, m in self.groups.items() if m & bit)
         tracks = [
             {pos: sym for pos, cell in cells.items() for sym, sm in cell.items() if sm & bit}
             for cells in self.tracks
         ]
-        return make_configuration(state, tracks, heads)
+        return make_configuration(state, tracks, self.heads)

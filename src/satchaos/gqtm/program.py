@@ -403,15 +403,12 @@ def collapse(planes: Planes, machine: SatMachine) -> tuple[Mask, Mask]:
             f"workspace tracks not blank after erasure: cells {written} hold symbols"
         )
     planes.run_phase(handoff)
-    ends: dict[str, Mask] = {}
-    for (state, _), m in planes.groups.items():
-        ends[state] = ends.get(state, 0) | m
     configs = planes.count_configurations()
-    if configs != len(ends):
+    if configs != len(planes.groups):
         raise RuntimeError(
             f"erasure left {configs} configurations, expected one per result bit"
         )
-    return ends.get("accept", 0), ends.get("loop_idle", 0)
+    return planes.groups.get("accept", 0), planes.groups.get("loop_idle", 0)
 
 
 def run_sat_gqtm(inst: SatInstance, params: LogisticParams = LogisticParams(), *,
@@ -496,7 +493,7 @@ def run_sat_gqtm(inst: SatInstance, params: LogisticParams = LogisticParams(), *
         if loop is None:
             raise RuntimeError("no loop component yet the weight never crossed")
         loop.run_phase(machine.phase("compare"))
-        ((state, _),) = loop.groups
+        (state,) = loop.groups
         if state == "cmp_eq_done":
             decision = "UNSAT" if w1 == 0.0 else "INCONCLUSIVE"
             break
@@ -537,7 +534,7 @@ def run_classical_branches(inst: SatInstance, assignments
     track0 = {i: {s: full} for i, s in enumerate(encode_sat_input(inst))}
     track1 = {k: {sym: m for sym, m in (("0", full ^ one), ("1", one)) if m}
               for k, one in enumerate(ones)}
-    planes = Planes(width, {(OR_EVAL.entry, (0, 0, 0, 0)): full}, [track0, track1, {}, {}])
+    planes = Planes(width, (0, 0, 0, 0), {OR_EVAL.entry: full}, [track0, track1, {}, {}])
     planes.run_phase(OR_EVAL)
     clause_planes = [_bit_plane(planes, 2, j, OR_EVAL) for j in range(inst.num_clauses)]
     planes.run_phase(AND_EVAL)

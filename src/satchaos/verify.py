@@ -36,6 +36,9 @@ from .sat import (
 )
 
 DEFAULT_SEED = 20260816
+MAX_TOTAL_QUBITS = 20  # circuit width a random instance may lay out to
+RANDOM_STATES = 100  # random 4-qubit states the gates suite rewrites
+RANDOM_TABLE_INSTANCES = 40  # seeded n = 3 instances in the tables suite
 
 # Named edge instances every corpus must contain.
 EDGE_INSTANCES: tuple[tuple[str, SatInstance], ...] = (
@@ -67,14 +70,13 @@ class SuiteResult:
         return f"{self.suite}: {status} ({self.checks} checks{tail}{seed})"
 
 
-def random_instance(rng: random.Random, max_n: int = 10,
-                    max_total_qubits: int = 20) -> SatInstance:
+def random_instance(rng: random.Random, max_n: int = 10) -> SatInstance:
     """One reproducible random instance that fits the simulator budget.
 
     n uniform on 1..max_n, m uniform on 1..2n, widths uniform on 1..min(3, n)
     with distinct variables per clause, signs uniform. Unconstrained m-clause
     formulas can demand ~4n qubits of workspace, so the draw is repeated until
-    the laid-out circuit stays within max_total_qubits.
+    the laid-out circuit stays within :data:`MAX_TOTAL_QUBITS`.
     """
     while True:
         n = rng.randint(1, max_n)
@@ -85,13 +87,13 @@ def random_instance(rng: random.Random, max_n: int = 10,
             variables = rng.sample(range(1, n + 1), width)
             clauses.append([v if rng.random() < 0.5 else -v for v in variables])
         inst = instance_from_ints(n, clauses)
-        if layout(inst).total_qubits <= max_total_qubits:
+        if layout(inst).total_qubits <= MAX_TOTAL_QUBITS:
             return inst
 
 
 # --- suite: gates -----------------------------------------------------------
 
-def suite_gates(seed: int = DEFAULT_SEED, random_states: int = 100) -> SuiteResult:
+def suite_gates(seed: int = DEFAULT_SEED) -> SuiteResult:
     """Unitarity of every gate matrix plus the rewrite identities.
 
     Identities are demanded exactly on basis states (both sides are
@@ -130,7 +132,7 @@ def suite_gates(seed: int = DEFAULT_SEED, random_states: int = 100) -> SuiteResu
         placed(GateKind.OR, 2, 4, 1),
         placed(GateKind.COPY, 4, 2),
     )
-    for _ in range(random_states):
+    for _ in range(RANDOM_STATES):
         amps = rng.normal(size=16) + 1j * rng.normal(size=16)
         amps /= np.linalg.norm(amps)
         state = StateVector(4, amps)
@@ -349,7 +351,7 @@ def _interference_findings() -> tuple[int, list[str]]:
     return 3, rows
 
 
-def suite_tables(seed: int = DEFAULT_SEED, random_count: int = 40) -> SuiteResult:
+def suite_tables(seed: int = DEFAULT_SEED) -> SuiteResult:
     """Machine-table certificates plus machine-vs-circuit agreement.
 
     Exhaustive over every distinct-variable instance with n <= 2, m <= 2 and
@@ -381,7 +383,7 @@ def suite_tables(seed: int = DEFAULT_SEED, random_count: int = 40) -> SuiteResul
         corpus.append((f"exhaustive n=3 [{i}]", instance_from_ints(3, [c1])))
     rng = random.Random(seed)
     clauses3 = _all_clauses(3)
-    for i in range(random_count):
+    for i in range(RANDOM_TABLE_INSTANCES):
         m = rng.randint(2, 3)
         chosen = [list(rng.choice(clauses3)) for _ in range(m)]
         corpus.append(

@@ -255,6 +255,8 @@ def test_bad_range_argument(worked_path):
     ["sweep", "--n", "5"],
     ["solve", "x.cnf", "--seed", "1"],
     ["bogus"],
+    ["trace", "x.cnf", "--deterministic"],
+    ["verify", "gates", "--deterministic"],
 ])
 def test_usage_errors_exit_input(argv, capsys):
     with pytest.raises(SystemExit) as excinfo:

@@ -170,12 +170,16 @@ def test_wildcard_expands_over_declared_alphabet():
 def test_step_runs_a_toy_walker():
     t = _counter_table()
     config = make_configuration("scan", [{0: "0", 1: "0"}], [0])
-    psi = ConfigSuperposition.pure(config)
-    psi, steps = run_phase(psi, Phase("toy", "bookkeeping", t, "scan", frozenset({"done"})))
+    phase = Phase("toy", "bookkeeping", t, "scan", frozenset({"done"}))
+    psi, steps = run_phase(ConfigSuperposition.pure(config), phase)
     assert steps == 3
     (final,) = psi.branches
     assert final.state == "done"
     assert final.tracks[0] == (0, ("1", "1"))
+    # The reference reads the rules as written, never the executor's form.
+    t.compiled.clear()
+    again, again_steps = run_phase(ConfigSuperposition.pure(config), phase)
+    assert again_steps == steps and again.branches == psi.branches
 
 
 def test_run_phase_enters_from_any_state():
@@ -422,7 +426,8 @@ def test_classical_branches_match_eval():
 @pytest.mark.parametrize("width", [8, 1 << 14])  # masks too wide to print
 def test_replay_readout_refuses_a_cell_without_a_bit(width):
     full = (1 << width) - 1
-    planes = Planes(width, {}, [{}, {}, {}, {0: {"1": full >> 1, "A": 1 << (width - 1)}}])
+    planes = Planes(width, (0, 0, 0, 0), {},
+                    [{}, {}, {}, {0: {"1": full >> 1, "A": 1 << (width - 1)}}])
     with pytest.raises(RuntimeError, match=rf"\['1', 'A'\] on {width - 1} of {width}"):
         _bit_plane(planes, 3, 0, AND_EVAL)
 
@@ -614,8 +619,8 @@ def test_collapse_certifies_the_weights_sum_to_one():
     assert planes.mass(accept.bit_count()) + planes.mass(idle.bit_count()) == 1.0
 
     machine, planes, _ = _planes_stage(WORKED)
-    ((key, mask),) = planes.groups.items()
-    planes.groups[key] = mask & ~(1 << 5)  # plant a lost branch
+    ((state, mask),) = planes.groups.items()
+    planes.groups[state] = mask & ~(1 << 5)  # plant a lost branch
     with pytest.raises(ArithmeticError, match="trace-preserving"):
         collapse(planes, machine)
 
@@ -712,18 +717,25 @@ def test_jsonl_rows_match_the_dict_engine(inst):
 
 
 def _fork_table(amps_on_0, amps_on_1) -> TransitionFunction:
-    """One track; each symbol's row moves on with the given amplitudes."""
+    """One track; each symbol's row moves on with the given amplitudes. A
+    target given as ``(amp, move)`` moves the head by ``move``, any other
+    target by +1."""
     t = TransitionFunction("fork", 1, (0,), (0,), {0: ("0", "1")})
-    for sym, amps in (("0", amps_on_0), ("1", amps_on_1)):
-        t.add("s", (sym,), [
-            rule(a, "done", writes={0: str(i)}, moves={0: +1}) for i, a in enumerate(amps)
-        ])
+    for sym, targets in (("0", amps_on_0), ("1", amps_on_1)):
+        rows = []
+        for i, target in enumerate(targets):
+            amp, move = target if isinstance(target, tuple) else (target, +1)
+            rows.append(rule(amp, "done", writes={0: str(i)}, moves={0: move}))
+        t.add("s", (sym,), rows)
     return t
 
 
 def _two_branches() -> Planes:
     """Branch 0 reads "0" and branch 1 reads "1" under one head."""
-    return Planes(2, {("s", (0,)): 0b11}, [{0: {"0": 0b01, "1": 0b10}}])
+    return Planes(2, (0,), {"s": 0b11}, [{0: {"0": 0b01, "1": 0b10}}])
+
+
+HADAMARD = ((SQRT_HALF, SQRT_HALF), (SQRT_HALF, -SQRT_HALF))
 
 
 @pytest.mark.parametrize("amps_on_0, amps_on_1, match", [
@@ -731,6 +743,10 @@ def _two_branches() -> Planes:
     ((SQRT_HALF, SQRT_HALF), (0.6, 0.8), "does not weigh 1/2"),
     ((1,), (1j,), "is not ±1"),
     ((0.6, 0.8j, 0.0), (1,), "does not fork in two"),
+    pytest.param((1,), ((1, -1),), "move the heads apart", id="rows-move-apart"),
+    pytest.param((1,), ((1, 0),), "move the heads apart", id="one-row-stays"),
+    pytest.param(((SQRT_HALF, +1), (SQRT_HALF, -1)), ((SQRT_HALF, +1), (-SQRT_HALF, -1)),
+                 "move the heads apart", id="fork-targets-move-apart"),
 ])
 def test_tables_that_break_lockstep_are_refused(amps_on_0, amps_on_1, match):
     table = _fork_table(amps_on_0, amps_on_1)
@@ -739,15 +755,22 @@ def test_tables_that_break_lockstep_are_refused(amps_on_0, amps_on_1, match):
 
 
 def test_fork_beside_a_halted_branch_is_refused():
-    table = _fork_table((SQRT_HALF, SQRT_HALF), (SQRT_HALF, -SQRT_HALF))
-    planes = Planes(2, {("s", (0,)): 0b01, ("done", (0,)): 0b10},
-                    [{0: {"0": 0b01, "1": 0b10}}])
+    def beside_halted():
+        return Planes(2, (0,), {"s": 0b01, "done": 0b10}, [{0: {"0": 0b01, "1": 0b10}}])
+
+    finals = frozenset({"done"})
     with pytest.raises(LockstepError, match="does not fork in two"):
-        planes.step(table, frozenset({"done"}))
+        beside_halted().step(_fork_table(*HADAMARD), finals)
+    with pytest.raises(LockstepError, match="moves the heads while some branch has halted"):
+        beside_halted().step(_fork_table((1,), (1,)), finals)
+    # A step that keeps the heads in place may run beside a halted branch.
+    planes = beside_halted()
+    assert not planes.step(_fork_table(((1, 0),), ((1, 0),)), finals)
+    assert planes.heads == (0,) and planes.groups == {"done": 0b11}
 
 
 def test_forks_double_the_branches_and_carry_signs():
-    table = _fork_table((SQRT_HALF, SQRT_HALF), (SQRT_HALF, -SQRT_HALF))
+    table = _fork_table(*HADAMARD)
     planes = _two_branches()
     assert not planes.step(table, frozenset({"done"}))
     assert (planes.width, planes.forks, planes.sign) == (4, 1, 0b1000)
