@@ -11,12 +11,11 @@ deterministic table steps probability weights the way it steps amplitudes.
 
 This rule-by-rule engine is the reference: :func:`step` reads
 ``TransitionFunction.rules`` and applies each :class:`Rule` as written. The
-SAT program runs every phase on bit planes (:mod:`.planes`), whose step reads
-``TransitionFunction.compiled``, the executor's form of the same rows. The
-tests hold those planes to :func:`step` amplitude for amplitude, as they
-hold the circuit's bit planes to the dense statevector
-(:mod:`satchaos.quantum`). ``verify``'s interference check steps it on
-purpose. Mixed configurations —
+SAT program runs every phase on bit planes (:mod:`.planes`), which compile
+the rules into a form of their own. The tests hold those planes to
+:func:`step` amplitude for amplitude, as they hold the circuit's bit planes
+to the dense statevector (:mod:`satchaos.quantum`). ``verify``'s
+interference check steps it on purpose. Mixed configurations —
 probability-weighted lists of superpositions, measured and merged component
 by component — are the reference for the collapse.
 """
@@ -155,11 +154,6 @@ class StuckConfigurationError(RuntimeError):
 
 WILDCARD = "*"
 
-#: One rule in the form :meth:`.planes.Planes.step` applies: (amplitude, next
-#: state, the writes that change a cell, per-track head shifts or ``None``
-#: when no head moves).
-CompiledRule = tuple[complex, str, tuple[tuple[int, str], ...], "tuple[int, ...] | None"]
-
 
 class TransitionFunction:
     """δ as a rule table keyed on (state, symbols read from ``read_tracks``).
@@ -180,8 +174,6 @@ class TransitionFunction:
         self.write_tracks = tuple(write_tracks)
         self.alphabets = {t: tuple(alphabets[t]) for t in self.read_tracks}
         self.rules: dict[tuple[str, tuple[str, ...]], tuple[Rule, ...]] = {}
-        #: ``rules`` compiled for :meth:`.planes.Planes.step`, key for key.
-        self.compiled: dict[tuple[str, tuple[str, ...]], tuple[CompiledRule, ...]] = {}
         for t in self.read_tracks + self.write_tracks:
             if not 0 <= t < num_tracks:
                 raise ValueError(f"track {t} out of range for {num_tracks} tracks")
@@ -208,19 +200,6 @@ class TransitionFunction:
             keys = [k + (o,) for k in keys for o in options]
         return keys
 
-    def _compile(self, r: Rule, reads: tuple[str, ...]) -> CompiledRule:
-        """``r`` for the key reading ``reads``, less each write of the symbol
-        already read on that track (a write that changes nothing)."""
-        shift = None
-        if any(move for _, move in r.moves):
-            shift = [0] * self.num_tracks
-            for track, move in r.moves:
-                shift[track] = move
-            shift = tuple(shift)
-        read = dict(zip(self.read_tracks, reads))
-        writes = tuple((t, sym) for t, sym in r.writes if read.get(t) != sym)
-        return complex(r.amplitude), r.next_state, writes, shift
-
     def add(self, state: str, reads: tuple[str, ...], targets: list[Rule]):
         if len(reads) != len(self.read_tracks):
             raise ValueError(
@@ -234,7 +213,6 @@ class TransitionFunction:
             if key in self.rules:
                 raise ValueError(f"{self.name}: duplicate rule for {key!r}")
             self.rules[key] = tuple(targets)
-            self.compiled[key] = tuple(self._compile(r, key_syms) for r in targets)
 
 
 class ConfigSuperposition:

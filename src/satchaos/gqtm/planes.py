@@ -16,11 +16,23 @@ A step splits each group by the symbols under the heads, looks up one row
 of δ per read tuple that occurs, applies it as masked plane updates and
 then the one head shift that every row taken shares. A two-target row (the
 Hadamard rows of ``dft``) doubles the index space: the first target writes
-into the lower copy of the branches, the second into the upper one. Branches are never merged on the planes, so two branches
-may come to hold one configuration: :meth:`Planes.count_configurations`
-counts the distinct ones, and a measurement weighs a set of branches by its
-popcount, which gives the same result as merging step by step, because δ is
-linear. :meth:`Planes.branch` reads one branch back as a configuration.
+into the lower copy of the branches, the second into the upper one.
+
+Most steps need no split. When the running branches form one group and
+every cell under the heads is blank or holds one symbol on all of them,
+they all read one key; if its row has one target of amplitude ±1,
+:meth:`Planes.run_phase` applies that row to the whole mask at once. So a
+one-branch replay, the detection loop, ``setup`` and the track-0 sweep of
+``erase`` step at the cost of one lookup. Every other step takes the split
+in :meth:`Planes.step`, which raises whatever the planes refuse. The planes
+compile each table's rules into their own form once, and again only if the
+table gains rules.
+
+Branches are never merged on the planes, so two branches may come to hold
+one configuration: :meth:`Planes.count_configurations` counts the distinct
+ones, and a measurement weighs a set of branches by its popcount, which
+gives the same result as merging step by step, because δ is linear.
+:meth:`Planes.branch` reads one branch back as a configuration.
 
 The SAT program runs every phase here; the rule-by-rule engine
 (:func:`~.machine.step`) is the reference the tests hold these planes to.
@@ -32,6 +44,7 @@ from functools import reduce
 from math import ldexp
 from operator import add, or_
 from typing import Callable
+from weakref import WeakKeyDictionary
 
 import numpy as np
 
@@ -41,12 +54,48 @@ from .machine import (
     MAX_PHASE_STEPS,
     Configuration,
     Phase,
+    Rule,
     StuckConfigurationError,
     TransitionFunction,
     make_configuration,
 )
 
 Mask = int
+
+#: One target of δ in the form the planes apply: (amplitude, next state, the
+#: writes that change a cell, per-track head shifts or ``None`` when no head
+#: moves).
+Row = tuple[complex, str, tuple[tuple[int, str], ...], "tuple[int, ...] | None"]
+Rows = dict[tuple[str, tuple[str, ...]], tuple[Row, ...]]
+
+#: Each table's rows, compiled on its first step and dropped with the table.
+_ROWS: "WeakKeyDictionary[TransitionFunction, Rows]" = WeakKeyDictionary()
+
+
+def _row(delta: TransitionFunction, r: Rule, reads: tuple[str, ...]) -> Row:
+    """``r`` for the key reading ``reads``, less each write of the symbol
+    already read on that track (a write that changes nothing)."""
+    shift = None
+    if any(move for _, move in r.moves):
+        shift = [0] * delta.num_tracks
+        for track, move in r.moves:
+            shift[track] = move
+        shift = tuple(shift)
+    read = dict(zip(delta.read_tracks, reads))
+    writes = tuple((t, sym) for t, sym in r.writes if read.get(t) != sym)
+    return complex(r.amplitude), r.next_state, writes, shift
+
+
+def _rows(delta: TransitionFunction) -> Rows:
+    """δ's rows in the planes' form, compiled once per table, and again only
+    if the table has gained rules since (rules are only ever added)."""
+    rows = _ROWS.get(delta)
+    if rows is None or len(rows) != len(delta.rules):
+        rows = _ROWS[delta] = {
+            key: tuple(_row(delta, r, key[1]) for r in targets)
+            for key, targets in delta.rules.items()
+        }
+    return rows
 
 
 class LockstepError(RuntimeError):
@@ -138,7 +187,12 @@ class Planes:
 
         Returns whether some branch is still outside ``finals``.
         """
-        compiled, tracks, heads = delta.compiled, self.tracks, self.heads
+        return self._split(_rows(delta), delta, finals)
+
+    def _split(self, compiled: Rows, delta: TransitionFunction,
+               finals: frozenset[str]) -> bool:
+        """:meth:`step`, given ``delta``'s rows as :func:`_rows` compiles them."""
+        tracks, heads = self.tracks, self.heads
         cells = []  # under the heads; a loop, as a comprehension costs more per step
         for t in delta.read_tracks:
             cells.append(tracks[t].get(heads[t]))
@@ -228,9 +282,16 @@ class Planes:
         Like :func:`~.machine.run_phase`: every branch is first relabelled to
         ``phase.entry``, and ``on_step(planes, halting_mass)`` sees each step.
         Returns the number of steps taken.
+
+        A step whose one running group reads one symbol per cell on all of its
+        branches, and whose row has one target of amplitude ±1, applies that
+        row to the whole mask here; every other step takes the split of
+        :meth:`step`, which raises whatever the planes refuse.
         """
         self.groups = {phase.entry: reduce(or_, self.groups.values(), 0)}
-        finals = phase.finals
+        delta, finals = phase.delta, phase.finals
+        compiled = _rows(delta)
+        reads = [(t, self.tracks[t]) for t in delta.read_tracks]
         steps = 0
         running = phase.entry not in finals
         while running:
@@ -238,7 +299,36 @@ class Planes:
                 raise RuntimeError(
                     f"phase {phase.name!r} exceeded {MAX_PHASE_STEPS} steps without halting"
                 )
-            running = self.step(phase.delta, finals)
+            rows = None
+            if len(self.groups) == 1:  # running, so its state is not final
+                [(state, mask)] = self.groups.items()
+                heads = self.heads
+                syms = []
+                for t, cells in reads:
+                    cell = cells.get(heads[t])
+                    if cell is None:
+                        syms.append(BLANK)
+                        continue
+                    if len(cell) != 1:
+                        break
+                    [(sym, sm)] = cell.items()
+                    if sm != mask:
+                        break
+                    syms.append(sym)
+                else:
+                    rows = compiled.get((state, tuple(syms)))
+            if rows is not None and len(rows) == 1 and rows[0][0] in (1, -1):
+                [(amp, next_state, writes, shift)] = rows
+                if amp != 1:
+                    self.sign ^= mask
+                if writes:
+                    self._write(mask, writes)
+                if shift is not None:
+                    self.heads = tuple(map(add, heads, shift))
+                self.groups = {next_state: mask}
+                running = next_state not in finals
+            else:
+                running = self._split(compiled, delta, finals)
             steps += 1
             if on_step is not None:
                 halted = sum(m.bit_count() for s, m in self.groups.items() if s in finals)

@@ -176,10 +176,10 @@ def test_step_runs_a_toy_walker():
     (final,) = psi.branches
     assert final.state == "done"
     assert final.tracks[0] == (0, ("1", "1"))
-    # The reference reads the rules as written, never the executor's form.
-    t.compiled.clear()
-    again, again_steps = run_phase(ConfigSuperposition.pure(config), phase)
-    assert again_steps == steps and again.branches == psi.branches
+    # The reference reads the rules as written: the table holds no other form.
+    assert vars(t).keys() == {
+        "name", "num_tracks", "read_tracks", "write_tracks", "alphabets", "rules"
+    }
 
 
 def test_run_phase_enters_from_any_state():
@@ -368,6 +368,20 @@ def test_worked_example_full_run():
     assert all(abs(row["norm"] - 1.0) < 1e-9 for row in rows)
     assert max(row["branch_count"] for row in rows) == 8
     assert [row["step"] for row in rows] == list(range(1, len(rows) + 1))
+
+
+@pytest.mark.parametrize("inst, decision, unitary_steps, rows", [
+    (WORKED, "SAT", 79, 81),
+    (instance_from_ints(3, [[1], [-1]]), "UNSAT", 62, 66),
+], ids=["worked", "unsat"])
+def test_step_accounting_is_pinned(inst, decision, unitary_steps, rows):
+    """No shortcut in the executor may change how many steps a run reports,
+    or how many JSONL rows it writes."""
+    sink = io.StringIO()
+    result = run_sat_gqtm(inst, jsonl_sink=sink)
+    assert result.decision == decision
+    assert result.unitary_steps == unitary_steps
+    assert len(sink.getvalue().splitlines()) == rows
 
 
 def test_unsat_run_is_bitwise_zero():
@@ -752,6 +766,108 @@ def test_tables_that_break_lockstep_are_refused(amps_on_0, amps_on_1, match):
     table = _fork_table(amps_on_0, amps_on_1)
     with pytest.raises(LockstepError, match=match):
         _two_branches().step(table, frozenset({"done"}))
+
+
+def _one_branch(symbols: dict[int, str]) -> Planes:
+    """One branch in state ``s`` with ``symbols`` on its one track, head at 0."""
+    return Planes(1, (0,), {"s": 1}, [{pos: {sym: 1} for pos, sym in symbols.items()}])
+
+
+def _fork_phase(table: TransitionFunction) -> Phase:
+    return Phase("fork", "logic", table, "s", frozenset({"done"}))
+
+
+def test_one_branch_refuses_an_amplitude_that_is_not_a_sign():
+    table = _fork_table((1,), (1j,))
+    with pytest.raises(LockstepError, match="is not ±1"):
+        _one_branch({0: "1"}).step(table, frozenset({"done"}))
+    with pytest.raises(LockstepError, match="is not ±1"):
+        _one_branch({0: "1"}).run_phase(_fork_phase(table))
+
+
+@pytest.mark.parametrize("symbols, read", [({}, BLANK), ({0: "2"}, "2")],
+                         ids=["blank", "unkeyed-symbol"])
+@pytest.mark.parametrize("how", ["step", "run_phase"])
+def test_one_branch_without_a_row_is_stuck(symbols, read, how):
+    table = _fork_table((1,), (1,))
+    planes = _one_branch(symbols)
+    with pytest.raises(StuckConfigurationError, match=rf"state 's' reading \('{read}',\)") as err:
+        if how == "step":
+            planes.step(table, frozenset({"done"}))
+        else:
+            planes.run_phase(_fork_phase(table))
+    assert (err.value.state, err.value.symbols) == ("s", (read,))
+
+
+def _step_through(planes: Planes, phase: Phase) -> int:
+    """``planes.run_phase(phase)`` taken one :meth:`Planes.step` at a time."""
+    planes.groups = {phase.entry: (1 << planes.width) - 1}
+    steps, running = 0, True
+    while running:
+        running = planes.step(phase.delta, phase.finals)
+        steps += 1
+    return steps
+
+
+def _snapshot(planes: Planes):
+    return planes.width, planes.forks, planes.heads, planes.groups, planes.tracks, planes.sign
+
+
+@pytest.mark.parametrize("bits", list(itertools.product((0, 1), repeat=3)))
+def test_shared_rows_step_like_the_split_path(bits):
+    """A one-branch replay through run_phase ends exactly where stepping it
+    through Planes.step does, in the same number of steps."""
+    def replay():
+        track0 = {i: {s: 1} for i, s in enumerate(encode_sat_input(WORKED))}
+        track1 = {k: {str(b): 1} for k, b in enumerate(bits)}
+        return Planes(1, (0, 0, 0, 0), {"any": 1}, [track0, track1, {}, {}])
+
+    shared, split = replay(), replay()
+    for phase in (OR_EVAL, AND_EVAL):
+        assert shared.run_phase(phase) == _step_through(split, phase)
+        assert _snapshot(shared) == _snapshot(split)
+
+
+def test_shared_rows_carry_the_sign():
+    table = _fork_table((-1,), ((-1, 0),))
+    planes = _one_branch({0: "0"})
+    assert planes.run_phase(_fork_phase(table)) == 1
+    assert (planes.sign, planes.heads, planes.groups) == (1, (1,), {"done": 1})
+    planes = _one_branch({0: "1"})
+    assert planes.run_phase(_fork_phase(table)) == 1
+    assert (planes.sign, planes.heads, planes.tracks) == (1, (0,), [{0: {"0": 1}}])
+
+
+def test_a_symbol_on_some_branches_splits_the_group():
+    """Branch 0 reads "0" and branch 1 a blank: each takes its own row."""
+    table = TransitionFunction("t", 1, (0,), (0,), {0: ("0", "1")})
+    table.add("s", ("0",), [rule(1, "done", writes={0: "1"}, moves={0: +1})])
+    table.add("s", (BLANK,), [rule(1, "done", moves={0: +1})])
+    planes = Planes(2, (0,), {"s": 0b11}, [{0: {"0": 0b01}}])
+    assert planes.run_phase(_fork_phase(table)) == 1
+    assert (planes.heads, planes.tracks) == ((1,), [{0: {"1": 0b01}}])
+
+
+def test_replays_never_take_the_split_path(monkeypatch):
+    def split(*args):
+        raise AssertionError("a one-branch replay took the split path")
+
+    monkeypatch.setattr(Planes, "_split", split)
+    for bits in itertools.product((0, 1), repeat=3):
+        assert run_classical_branch(WORKED, bits)[1] == eval_instance(WORKED, bits)
+
+
+def test_planes_read_rules_added_after_a_step():
+    table = TransitionFunction("grow", 1, (0,), (0,), {0: ("0", "1")})
+    table.add("s", ("0",), [rule(1, "s", writes={0: "1"}, moves={0: +1})])
+    planes = _one_branch({0: "0"})
+    finals = frozenset({"done"})
+    assert planes.step(table, finals)
+    with pytest.raises(StuckConfigurationError):
+        planes.step(table, finals)
+    table.add("s", (BLANK,), [rule(1, "done")])
+    assert not planes.step(table, finals)
+    assert (planes.heads, planes.groups, planes.tracks) == ((1,), {"done": 1}, [{0: {"1": 1}}])
 
 
 def test_fork_beside_a_halted_branch_is_refused():
