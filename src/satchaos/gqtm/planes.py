@@ -18,15 +18,24 @@ then the one head shift that every row taken shares. A two-target row (the
 Hadamard rows of ``dft``) doubles the index space: the first target writes
 into the lower copy of the branches, the second into the upper one.
 
-Most steps need no split. When the running branches form one group and
-every cell under the heads is blank or holds one symbol on all of them,
-they all read one key; if its row has one target of amplitude ±1,
-:meth:`Planes.run_phase` applies that row to the whole mask at once. So a
-one-branch replay, the detection loop, ``setup`` and the track-0 sweep of
-``erase`` step at the cost of one lookup. Every other step takes the split
-in :meth:`Planes.step`, which raises whatever the planes refuse. The planes
-compile each table's rules into their own form once, and again only if the
-table gains rules.
+Most steps need no split. Every branch shares the head vector, so a step
+in which every branch takes the same rule is one update of the whole mask,
+whatever symbols the branches read. While one group runs,
+:meth:`Planes.run_phase` reads each cell under the heads as a blank, one
+symbol on every branch, or the tuple of its symbols, plus a blank when they
+leave some branch out. If every key in the product of those options has one
+target, the same :class:`~.machine.Rule` for all of them, of amplitude ±1,
+it applies that rule to the whole mask: a sign flip, ``{symbol: mask}`` in
+each written cell, one head shift. The product holds every key some branch
+reads, and maybe keys none reads, so it can send a step to the split when
+it need not, but never merges a step wrongly. So replays, the detection
+loop, ``setup``, ``erase`` and most of ``or_eval`` step without a split;
+the forks of ``dft``, the ``or_eval`` writes that depend on the bits read,
+``and_eval`` once the clause bits part the states, and ``handoff`` split.
+The split is :meth:`Planes.step`, which raises whatever the planes refuse.
+The planes compile each table's rules into their own form once, and
+memoise each merge verdict by state and options; both are made again only
+if the table gains rules.
 
 Branches are never merged on the planes, so two branches may come to hold
 one configuration: :meth:`Planes.count_configurations` counts the distinct
@@ -41,8 +50,9 @@ The SAT program runs every phase here; the rule-by-rule engine
 from __future__ import annotations
 
 from functools import reduce
+from itertools import product
 from math import ldexp
-from operator import add, or_
+from operator import or_
 from typing import Callable
 from weakref import WeakKeyDictionary
 
@@ -63,39 +73,74 @@ from .machine import (
 Mask = int
 
 #: One target of δ in the form the planes apply: (amplitude, next state, the
-#: writes that change a cell, per-track head shifts or ``None`` when no head
-#: moves).
-Row = tuple[complex, str, tuple[tuple[int, str], ...], "tuple[int, ...] | None"]
+#: writes that change a cell, the head moves ``(track, ±1)`` in track order;
+#: empty when no head moves).
+Row = tuple[complex, str, tuple[tuple[int, str], ...], tuple[tuple[int, int], ...]]
 Rows = dict[tuple[str, tuple[str, ...]], tuple[Row, ...]]
 
-#: Each table's rows, compiled on its first step and dropped with the table.
-_ROWS: "WeakKeyDictionary[TransitionFunction, Rows]" = WeakKeyDictionary()
+#: What a running group may read in one cell: a blank, one symbol on every
+#: branch, or the tuple of the cell's symbols, plus a blank when they do not
+#: cover every branch.
+Option = str | tuple[str, ...]
+
+#: One rule applied to the whole mask: (amplitude is -1, next state, the
+#: writes that change a cell, the head moves as in :data:`Row`).
+Merged = tuple[bool, str, tuple[tuple[int, str], ...], tuple[tuple[int, int], ...]]
+Verdicts = dict[tuple[str, tuple[Option, ...]], Merged | None]
+
+#: Each table's rows and merge verdicts, made on its first step and dropped
+#: with the table.
+_COMPILED: "WeakKeyDictionary[TransitionFunction, tuple[Rows, Verdicts]]" = (
+    WeakKeyDictionary()
+)
+
+
+def _moves(r: Rule) -> tuple[tuple[int, int], ...]:
+    return tuple(sorted((t, move) for t, move in dict(r.moves).items() if move))
 
 
 def _row(delta: TransitionFunction, r: Rule, reads: tuple[str, ...]) -> Row:
     """``r`` for the key reading ``reads``, less each write of the symbol
     already read on that track (a write that changes nothing)."""
-    shift = None
-    if any(move for _, move in r.moves):
-        shift = [0] * delta.num_tracks
-        for track, move in r.moves:
-            shift[track] = move
-        shift = tuple(shift)
     read = dict(zip(delta.read_tracks, reads))
     writes = tuple((t, sym) for t, sym in r.writes if read.get(t) != sym)
-    return complex(r.amplitude), r.next_state, writes, shift
+    return complex(r.amplitude), r.next_state, writes, _moves(r)
 
 
-def _rows(delta: TransitionFunction) -> Rows:
-    """δ's rows in the planes' form, compiled once per table, and again only
-    if the table has gained rules since (rules are only ever added)."""
-    rows = _ROWS.get(delta)
-    if rows is None or len(rows) != len(delta.rules):
-        rows = _ROWS[delta] = {
+def _compiled(delta: TransitionFunction) -> tuple[Rows, Verdicts]:
+    """δ's rows in the planes' form and its memo of merge verdicts, made once
+    per table, and again only if the table has gained rules since (rules are
+    only ever added)."""
+    entry = _COMPILED.get(delta)
+    if entry is None or len(entry[0]) != len(delta.rules):
+        rows = {
             key: tuple(_row(delta, r, key[1]) for r in targets)
             for key, targets in delta.rules.items()
         }
-    return rows
+        entry = _COMPILED[delta] = rows, {}
+    return entry
+
+
+def _merge(delta: TransitionFunction, state: str,
+           options: tuple[Option, ...]) -> Merged | None:
+    """The one rule that every key in the product of ``options`` takes, or
+    ``None`` unless each such key has exactly one target, all of them the
+    same :class:`Rule`, with amplitude ±1."""
+    taken = None
+    for syms in product(*((o,) if isinstance(o, str) else o for o in options)):
+        targets = delta.rules.get((state, syms))
+        if targets is None or len(targets) != 1:
+            return None
+        if taken is None:
+            taken = targets[0]
+        elif targets[0] != taken:
+            return None
+    amp = complex(taken.amplitude)
+    if amp != 1 and amp != -1:
+        return None
+    read = dict(zip(delta.read_tracks, options))
+    writes = tuple((t, sym) for t, sym in taken.writes if read.get(t) != sym)
+    return amp == -1, taken.next_state, writes, _moves(taken)
 
 
 class LockstepError(RuntimeError):
@@ -187,15 +232,17 @@ class Planes:
 
         Returns whether some branch is still outside ``finals``.
         """
-        return self._split(_rows(delta), delta, finals)
+        return self._split(_compiled(delta)[0], delta, finals)
 
     def _split(self, compiled: Rows, delta: TransitionFunction,
-               finals: frozenset[str]) -> bool:
-        """:meth:`step`, given ``delta``'s rows as :func:`_rows` compiles them."""
+               finals: frozenset[str], cells: list | None = None) -> bool:
+        """:meth:`step`, given ``delta``'s rows as :func:`_compiled` makes
+        them and, if the caller has read them, the cells under the heads."""
         tracks, heads = self.tracks, self.heads
-        cells = []  # under the heads; a loop, as a comprehension costs more per step
-        for t in delta.read_tracks:
-            cells.append(tracks[t].get(heads[t]))
+        if cells is None:
+            cells = []  # a loop, as a comprehension costs more per step
+            for t in delta.read_tracks:
+                cells.append(tracks[t].get(heads[t]))
         groups: dict[str, Mask] = {}
         moves = []
         forking = False
@@ -241,8 +288,8 @@ class Planes:
                 for m, rules in moves
                 for copy, rule in enumerate(rules)
             ]
-        shift = moves[0][1][0][3] if moves else None
-        if shift is not None and groups:
+        shift = moves[0][1][0][3] if moves else ()
+        if shift and groups:
             raise LockstepError(
                 f"{delta.name}: a step that moves the heads while some branch has halted"
             )
@@ -270,8 +317,11 @@ class Planes:
             groups[next_state] = groups.get(next_state, 0) | m
             if next_state not in finals:
                 running = True
-        if shift is not None:
-            self.heads = tuple(map(add, heads, shift))
+        if shift:
+            moved = list(heads)
+            for t, move in shift:
+                moved[t] += move
+            self.heads = tuple(moved)
         self.groups = groups
         return running
 
@@ -283,52 +333,77 @@ class Planes:
         ``phase.entry``, and ``on_step(planes, halting_mass)`` sees each step.
         Returns the number of steps taken.
 
-        A step whose one running group reads one symbol per cell on all of its
-        branches, and whose row has one target of amplitude ±1, applies that
-        row to the whole mask here; every other step takes the split of
-        :meth:`step`, which raises whatever the planes refuse.
+        While one group runs, each step reads every cell under the heads as
+        an :data:`Option`. When every key in the product of those options
+        takes the same one-target :class:`~.machine.Rule` of amplitude ±1,
+        that rule is applied to the whole mask, in a loop that holds the
+        state, mask and heads in locals. The product holds every key a branch
+        reads, and maybe more, so such a step ends where the split would end.
+        Any other step goes to the split of :meth:`step` with the cells
+        already read; it raises whatever the planes refuse. Both lanes stop
+        with ``RuntimeError`` before step ``MAX_PHASE_STEPS + 1``.
         """
-        self.groups = {phase.entry: reduce(or_, self.groups.values(), 0)}
+        state = phase.entry
+        self.groups = {state: reduce(or_, self.groups.values(), 0)}
         delta, finals = phase.delta, phase.finals
-        compiled = _rows(delta)
-        reads = [(t, self.tracks[t]) for t in delta.read_tracks]
+        compiled, verdicts = _compiled(delta)
+        tracks = self.tracks
+        reads = [(t, tracks[t]) for t in delta.read_tracks]
         steps = 0
-        running = phase.entry not in finals
+        running = state not in finals
         while running:
+            cells = None
+            if len(self.groups) == 1:  # running, so its state is not final
+                [(state, mask)] = self.groups.items()
+                heads = list(self.heads)
+                sign = self.sign
+                while steps < MAX_PHASE_STEPS:
+                    cells, options = [], []
+                    for t, track in reads:
+                        cell = track.get(heads[t])
+                        cells.append(cell)
+                        if cell is None:
+                            options.append(BLANK)
+                        elif len(cell) == 1:
+                            [(sym, sm)] = cell.items()
+                            options.append(sym if sm == mask else (sym, BLANK))
+                        else:
+                            cover = 0
+                            for sm in cell.values():
+                                cover |= sm
+                            options.append(tuple(cell) if cover == mask else (*cell, BLANK))
+                    key = state, tuple(options)
+                    try:
+                        merged = verdicts[key]
+                    except KeyError:
+                        merged = verdicts[key] = _merge(delta, *key)
+                    if merged is None:
+                        break
+                    flip, state, writes, shift = merged
+                    if flip:
+                        sign ^= mask
+                    for t, sym in writes:
+                        if sym == BLANK:
+                            tracks[t].pop(heads[t], None)
+                        else:
+                            tracks[t][heads[t]] = {sym: mask}
+                    for t, move in shift:
+                        heads[t] += move
+                    steps += 1
+                    running = state not in finals
+                    if on_step is not None:
+                        self.heads, self.sign, self.groups = tuple(heads), sign, {state: mask}
+                        on_step(self, self.mass(0 if running else mask.bit_count()))
+                    if not running:
+                        break
+                self.heads, self.sign, self.groups = tuple(heads), sign, {state: mask}
+                if not running:
+                    break
             if steps >= MAX_PHASE_STEPS:
                 raise RuntimeError(
                     f"phase {phase.name!r} exceeded {MAX_PHASE_STEPS} steps without halting"
                 )
-            rows = None
-            if len(self.groups) == 1:  # running, so its state is not final
-                [(state, mask)] = self.groups.items()
-                heads = self.heads
-                syms = []
-                for t, cells in reads:
-                    cell = cells.get(heads[t])
-                    if cell is None:
-                        syms.append(BLANK)
-                        continue
-                    if len(cell) != 1:
-                        break
-                    [(sym, sm)] = cell.items()
-                    if sm != mask:
-                        break
-                    syms.append(sym)
-                else:
-                    rows = compiled.get((state, tuple(syms)))
-            if rows is not None and len(rows) == 1 and rows[0][0] in (1, -1):
-                [(amp, next_state, writes, shift)] = rows
-                if amp != 1:
-                    self.sign ^= mask
-                if writes:
-                    self._write(mask, writes)
-                if shift is not None:
-                    self.heads = tuple(map(add, heads, shift))
-                self.groups = {next_state: mask}
-                running = next_state not in finals
-            else:
-                running = self._split(compiled, delta, finals)
+            running = self._split(compiled, delta, finals, cells)
             steps += 1
             if on_step is not None:
                 halted = sum(m.bit_count() for s, m in self.groups.items() if s in finals)

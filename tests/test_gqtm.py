@@ -1,3 +1,4 @@
+import copy
 import io
 import itertools
 import json
@@ -13,6 +14,7 @@ from satchaos.config import SINGLE_OP_ATOL, GuardExceeded
 from satchaos.gqtm.machine import (
     BLANK,
     EMPTY_TAPE,
+    MAX_PHASE_STEPS,
     ConfigSuperposition,
     Configuration,
     MixedConfiguration,
@@ -813,6 +815,19 @@ def _snapshot(planes: Planes):
     return planes.width, planes.forks, planes.heads, planes.groups, planes.tracks, planes.sign
 
 
+def _counted_splits(monkeypatch) -> list[str]:
+    """Patch Planes._split to note the name of each table it steps."""
+    split = Planes._split
+    names = []
+
+    def counted(planes, compiled, delta, *args):
+        names.append(delta.name)
+        return split(planes, compiled, delta, *args)
+
+    monkeypatch.setattr(Planes, "_split", counted)
+    return names
+
+
 @pytest.mark.parametrize("bits", list(itertools.product((0, 1), repeat=3)))
 def test_shared_rows_step_like_the_split_path(bits):
     """A one-branch replay through run_phase ends exactly where stepping it
@@ -838,13 +853,16 @@ def test_shared_rows_carry_the_sign():
     assert (planes.sign, planes.heads, planes.tracks) == (1, (0,), [{0: {"0": 1}}])
 
 
-def test_a_symbol_on_some_branches_splits_the_group():
-    """Branch 0 reads "0" and branch 1 a blank: each takes its own row."""
+def test_a_symbol_on_some_branches_splits_the_group(monkeypatch):
+    """Branch 0 reads "0" and branch 1 a blank, keys with different rules:
+    the step splits, and each branch takes its own row."""
     table = TransitionFunction("t", 1, (0,), (0,), {0: ("0", "1")})
     table.add("s", ("0",), [rule(1, "done", writes={0: "1"}, moves={0: +1})])
     table.add("s", (BLANK,), [rule(1, "done", moves={0: +1})])
+    splits = _counted_splits(monkeypatch)
     planes = Planes(2, (0,), {"s": 0b11}, [{0: {"0": 0b01}}])
     assert planes.run_phase(_fork_phase(table)) == 1
+    assert splits == ["t"]
     assert (planes.heads, planes.tracks) == ((1,), [{0: {"1": 0b01}}])
 
 
@@ -868,6 +886,138 @@ def test_planes_read_rules_added_after_a_step():
     table.add("s", (BLANK,), [rule(1, "done")])
     assert not planes.step(table, finals)
     assert (planes.heads, planes.groups, planes.tracks) == ((1,), {"done": 1}, [{0: {"1": 1}}])
+
+
+def _random_instance(rng: random.Random, num_vars: int):
+    clauses = [
+        [v if rng.random() < 0.5 else -v
+         for v in rng.sample(range(1, num_vars + 1), rng.randint(1, min(3, num_vars)))]
+        for _ in range(rng.randint(1, num_vars + 1))
+    ]
+    return instance_from_ints(num_vars, clauses)
+
+
+@pytest.mark.parametrize("num_vars", range(1, 7))
+def test_every_phase_steps_like_the_split_path(num_vars, monkeypatch):
+    """Each run_phase of a full run, its detection loop and a batched replay
+    ends where stepping a copy through Planes.step alone ends, in as many
+    steps."""
+    run = Planes.run_phase
+    phases = set()
+
+    def against_the_split(planes, phase, on_step=None):
+        split = copy.deepcopy(planes)
+        steps = run(planes, phase, on_step)
+        assert _step_through(split, phase) == steps, phase.name
+        assert _snapshot(planes) == _snapshot(split), phase.name
+        phases.add(phase.name)
+        return steps
+
+    monkeypatch.setattr(Planes, "run_phase", against_the_split)
+    rng = random.Random(num_vars)
+    for _ in range(3):
+        inst = _random_instance(rng, num_vars)
+        run_sat_gqtm(inst)
+        assignments = list(itertools.product((0, 1), repeat=num_vars))
+        assert [r for _, r in run_classical_branches(inst, assignments)] == [
+            eval_instance(inst, bits) for bits in assignments
+        ]
+    assert phases >= set(UNITARY_STAGE + COLLAPSE_STAGE)
+
+
+def _bit_table(on_0, on_1, *, on_blank=None, tracks=1) -> TransitionFunction:
+    """State ``s`` reading "0" or "1" on every one of ``tracks`` tracks (the
+    same symbol on each); ``None`` leaves a key without a rule."""
+    table = TransitionFunction("bits", tracks, tuple(range(tracks)), (0,),
+                               {t: ("0", "1") for t in range(tracks)})
+    for sym, target in (("0", on_0), ("1", on_1), (BLANK, on_blank)):
+        if target is not None:
+            table.add("s", (sym,) * tracks, [target])
+    return table
+
+
+def _zero_and_one(tracks=1) -> Planes:
+    """Branch 0 reads "0" and branch 1 reads "1" on every track."""
+    return Planes(2, (0,) * tracks, {"s": 0b11},
+                  [{0: {"0": 0b01, "1": 0b10}} for _ in range(tracks)])
+
+
+DONE = rule(1, "done", moves={0: +1})
+
+
+def test_a_key_that_no_branch_reads_needs_no_rule(monkeypatch):
+    """The product of ("0", "1") on two tracks holds ("0", "1") and
+    ("1", "0"), which no branch reads and no rule keys: the step splits and
+    goes through."""
+    splits = _counted_splits(monkeypatch)
+    planes = _zero_and_one(tracks=2)
+    assert planes.run_phase(_fork_phase(_bit_table(DONE, DONE, tracks=2))) == 1
+    assert splits == ["bits"]
+    assert (planes.heads, planes.groups) == ((1, 0), {"done": 0b11})
+
+
+@pytest.mark.parametrize("width, cell", [(2, {"0": 0b01}), (3, {"0": 0b001, "1": 0b010})],
+                         ids=["one-symbol", "two-symbols"])
+def test_symbols_on_part_of_the_mask_also_read_a_blank(width, cell, monkeypatch):
+    """The last branch reads a blank: a table without a blank row is stuck,
+    and one whose blank row is the row of every symbol merges."""
+    def partly_blank():
+        return Planes(width, (0,), {"s": (1 << width) - 1}, [{0: dict(cell)}])
+
+    write_one = rule(1, "done", writes={0: "1"}, moves={0: +1})
+    with pytest.raises(StuckConfigurationError) as err:
+        partly_blank().run_phase(_fork_phase(_bit_table(write_one, write_one)))
+    assert err.value.symbols == (BLANK,)
+
+    splits = _counted_splits(monkeypatch)
+    merged, split = partly_blank(), partly_blank()
+    phase = _fork_phase(_bit_table(write_one, write_one, on_blank=write_one))
+    assert merged.run_phase(phase) == _step_through(split, phase) == 1
+    assert splits == ["bits"]  # _step_through's step only
+    assert _snapshot(merged) == _snapshot(split)
+    assert merged.tracks == [{0: {"1": (1 << width) - 1}}]
+
+
+def test_a_merged_write_over_two_symbols_leaves_one(monkeypatch):
+    splits = _counted_splits(monkeypatch)
+    write_one = rule(-1, "done", writes={0: "1"}, moves={0: +1})
+    planes = _zero_and_one()
+    assert planes.run_phase(_fork_phase(_bit_table(write_one, write_one))) == 1
+    assert splits == []
+    assert (planes.heads, planes.groups, planes.sign) == ((1,), {"done": 0b11}, 0b11)
+    assert planes.tracks == [{0: {"1": 0b11}}]
+
+
+def test_run_phase_reads_rules_added_after_a_memoised_step(monkeypatch):
+    """A verdict memoised while "1" had no rule does not outlive the rule."""
+    table = _bit_table(DONE, None)
+    phase = _fork_phase(table)
+    with pytest.raises(StuckConfigurationError):
+        _zero_and_one().run_phase(phase)
+    table.add("s", ("1",), [DONE])
+    splits = _counted_splits(monkeypatch)
+    planes = _zero_and_one()
+    assert planes.run_phase(phase) == 1
+    assert splits == []
+    assert (planes.heads, planes.groups) == ((1,), {"done": 0b11})
+
+
+@pytest.mark.parametrize("lane", ["merged", "split"])
+def test_run_phase_stops_at_the_step_cap(lane, monkeypatch):
+    """A table that never halts: one branch on a blank takes the merged lane,
+    two branches whose rows differ in sign take the split lane."""
+    splits = _counted_splits(monkeypatch)
+    if lane == "merged":
+        planes = _one_branch({})
+        table = _bit_table(None, None, on_blank=rule(1, "s"))
+    else:
+        planes = _zero_and_one()
+        table = _bit_table(rule(1, "s"), rule(-1, "s"))
+    seen = []
+    with pytest.raises(RuntimeError, match=f"exceeded {MAX_PHASE_STEPS} steps"):
+        planes.run_phase(_fork_phase(table), lambda cur, mass: seen.append(mass))
+    assert len(seen) == MAX_PHASE_STEPS and not any(seen)
+    assert len(splits) == (0 if lane == "merged" else MAX_PHASE_STEPS)
 
 
 def test_fork_beside_a_halted_branch_is_refused():
