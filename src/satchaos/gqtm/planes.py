@@ -38,9 +38,11 @@ memoise each merge verdict by state and options; both are made again only
 if the table gains rules.
 
 Branches are never merged on the planes, so two branches may come to hold
-one configuration: :meth:`Planes.count_configurations` counts the distinct
-ones, and a measurement weighs a set of branches by its popcount, which
-gives the same result as merging step by step, because δ is linear.
+one configuration, whose amplitudes would interfere. The planes do not
+count configurations: a caller that measures proves distinctness from its
+own tapes (the SAT program reads one assignment per branch off track 1),
+and a measurement weighs a set of branches by its popcount, which gives the
+same result as merging step by step, because δ is linear.
 :meth:`Planes.branch` reads one branch back as a configuration.
 
 The SAT program runs every phase here; the rule-by-rule engine
@@ -55,8 +57,6 @@ from math import ldexp
 from operator import or_
 from typing import Callable
 from weakref import WeakKeyDictionary
-
-import numpy as np
 
 from ..config import SINGLE_OP_ATOL
 from .machine import (
@@ -409,47 +409,6 @@ class Planes:
                 halted = sum(m.bit_count() for s, m in self.groups.items() if s in finals)
                 on_step(self, self.mass(halted))
         return steps
-
-    def _plane(self, m: Mask) -> np.ndarray:
-        """Mask ``m`` as one int64 0/1 per branch."""
-        raw = np.frombuffer(m.to_bytes((self.width + 7) // 8, "little"), np.uint8)
-        return np.unpackbits(raw, count=self.width, bitorder="little").astype(np.int64)
-
-    def _labels(self) -> np.ndarray:
-        """One label per branch, equal exactly where branches are one configuration.
-
-        Labels are refined cell by cell and renumbered densely after each
-        track and before they could overflow. Refining stops as soon as every
-        branch has a label of its own.
-        """
-        full = (1 << self.width) - 1
-        labels = sum(i * self._plane(m) for i, m in enumerate(self.groups.values()))
-        bound = len(self.groups)  # labels lie in range(bound)
-        dense = True  # and each of them occurs
-        for cells in self.tracks:
-            for cell in cells.values():
-                if len(cell) == 1 and full in cell.values():
-                    continue  # one symbol on every branch: splits nothing
-                base = len(cell) + 1
-                if bound * base >= 1 << 62:
-                    _, labels = np.unique(labels, return_inverse=True)
-                    bound = int(labels.max()) + 1
-                labels = labels * base + sum(
-                    j * self._plane(m) for j, m in enumerate(cell.values(), 1)
-                )
-                bound *= base
-                dense = False
-            if not dense:
-                _, labels = np.unique(labels, return_inverse=True)
-                bound = int(labels.max()) + 1
-                dense = True
-            if bound == self.width:
-                break
-        return labels
-
-    def count_configurations(self) -> int:
-        """Number of distinct configurations among the branches."""
-        return int(self._labels().max()) + 1
 
     def branch(self, i: int) -> Configuration:
         """Branch ``i`` read back as a configuration."""

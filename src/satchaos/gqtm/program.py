@@ -35,6 +35,7 @@ from ..amplifier import (
     logistic_step,
     snap_dyadic,
 )
+from ..circuit import _h_plane
 from ..config import (
     DEFAULT_MAX_MACHINE_VARS,
     GuardExceeded,
@@ -386,8 +387,10 @@ def collapse(planes: Planes, machine: SatMachine) -> tuple[Mask, Mask]:
 
     Raises ``ArithmeticError`` unless every branch is read out, so that the
     weights sum to 1 exactly, and ``RuntimeError`` unless the erasure blanks
-    tracks 0-2 and leaves one configuration per result bit; a result cell
-    that holds no bit stops handoff with ``StuckConfigurationError``.
+    tracks 0-2 and leaves one configuration per result bit: the heads are
+    shared, so that holds when every track-3 cell reads the same on all the
+    branches of an end state. A result cell that holds no bit stops handoff
+    with ``StuckConfigurationError``.
     """
     erase, handoff = (machine.phase(name) for name in COLLAPSE_STAGE)
     planes.run_phase(erase)
@@ -403,10 +406,14 @@ def collapse(planes: Planes, machine: SatMachine) -> tuple[Mask, Mask]:
             f"workspace tracks not blank after erasure: cells {written} hold symbols"
         )
     planes.run_phase(handoff)
-    configs = planes.count_configurations()
-    if configs != len(planes.groups):
+    split = sorted(
+        pos for pos, cell in planes.tracks[3].items()
+        if any(sm & g not in (0, g) for sm in cell.values() for g in planes.groups.values())
+    )
+    if split:
         raise RuntimeError(
-            f"erasure left {configs} configurations, expected one per result bit"
+            f"erasure left track 3 cells {split} differing within an end state; "
+            f"configurations must be one per result bit"
         )
     return planes.groups.get("accept", 0), planes.groups.get("loop_idle", 0)
 
@@ -416,8 +423,9 @@ def run_sat_gqtm(inst: SatInstance, params: LogisticParams = LogisticParams(), *
     """Full pipeline: unitary stage, collapse, then the detection loop.
 
     Every phase runs on bit planes (:class:`~.planes.Planes`), and
-    ``branch_count`` is the number of distinct configurations the unitary
-    stage ends in. The collapse (:func:`collapse`) measures in the
+    ``branch_count`` is 2^n: track 1 must hold each assignment on its own
+    branch, which proves that the unitary stage ends in 2^n distinct
+    configurations. The collapse (:func:`collapse`) measures in the
     configuration basis (branch weight equals squared amplitude), blanks the
     workspace and hands off on the result bit, so the weight of the
     accepting branches is the model fraction, exactly r/2^n. That weight
@@ -460,11 +468,15 @@ def run_sat_gqtm(inst: SatInstance, params: LogisticParams = LogisticParams(), *
     if norm != 1.0:
         raise ArithmeticError(f"norm drifted to {norm!r} during the unitary stage")
 
-    branch_count = planes.count_configurations()
-    if branch_count != live:
+    # Track 1 holds each assignment on its own branch: variable k sits at
+    # index bit n-1-k, so all 2^n branches are distinct configurations.
+    full = (1 << planes.width) - 1
+    ones = [_h_plane(n - k, n) for k in range(n)]
+    spread = {k: {"0": full ^ p, "1": p} for k, p in enumerate(ones)}
+    if planes.width != 1 << n or planes.tracks[1] != spread:
         raise LockstepError(
-            f"{live - branch_count} branches coincide with others before the "
-            f"collapse; the planes cannot weigh their interference"
+            "track 1 does not hold one assignment per branch before the collapse; "
+            "branches may coincide, and the planes cannot weigh their interference"
         )
     accept, idle = collapse(planes, machine)
     w1_raw = planes.mass(accept.bit_count())
@@ -505,7 +517,7 @@ def run_sat_gqtm(inst: SatInstance, params: LogisticParams = LogisticParams(), *
     trace = AmplifierTrace(tuple(xs), k_star, decision, bounds, params)
     return GqtmRun(
         decision, k_star, trace, q_squared, r_estimate,
-        (w0_raw, w1_raw), branch_count, steps,
+        (w0_raw, w1_raw), live, steps,
     )
 
 

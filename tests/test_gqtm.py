@@ -668,6 +668,24 @@ def test_collapse_refuses_a_broken_readout(plant, error, match, inst):
         collapse(planes, machine)
 
 
+@pytest.mark.parametrize("inst", [WORKED, instance_from_ints(14, [[1, 2, 3]])],
+                         ids=["worked", "n14"])  # masks too wide to print
+def test_run_refuses_branches_it_cannot_prove_distinct(inst, monkeypatch):
+    """Once the unitary stage ends, variable 0 reads 0 on every branch, so
+    branches that differ only in it share their track 1."""
+    run_phase = Planes.run_phase
+
+    def planted(planes, phase, on_step=None):
+        steps = run_phase(planes, phase, on_step)
+        if phase.name == UNITARY_STAGE[-1]:
+            planes.tracks[1][0] = {"0": (1 << planes.width) - 1}
+        return steps
+
+    monkeypatch.setattr(Planes, "run_phase", planted)
+    with pytest.raises(LockstepError, match="one assignment per branch"):
+        run_sat_gqtm(inst)
+
+
 # --- the bit-plane executor against the dict engine ----------------------------
 
 def _assert_executor_matches_reference(inst):
@@ -677,7 +695,7 @@ def _assert_executor_matches_reference(inst):
     assert amplitudes.keys() == psi.branches.keys(), inst
     for config, amp in psi.branches.items():
         assert abs(amplitudes[config] - amp) <= 1e-12, inst
-    assert planes.count_configurations() == len(amplitudes) == len(psi), inst
+    assert len(amplitudes) == len(psi), inst
 
     reference = _per_component_collapse(machine, psi)
     result = run_sat_gqtm(inst)
