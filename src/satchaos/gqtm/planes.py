@@ -33,9 +33,13 @@ loop, ``setup``, ``erase`` and most of ``or_eval`` step without a split;
 the forks of ``dft``, the ``or_eval`` writes that depend on the bits read,
 ``and_eval`` once the clause bits part the states, and ``handoff`` split.
 The split is :meth:`Planes.step`, which raises whatever the planes refuse.
-The planes compile each table's rules into their own form once, and
-memoise each merge verdict by state and options; both are made again only
-if the table gains rules.
+A merged step leaves the mask as it was, so a cell under a head that did not
+move and that the rule did not write reads as before. The next step
+therefore re-reads only the cells of the read tracks whose head the last
+one moved or whose cell it wrote, and keeps the other options. The planes
+compile each table's rules into their own form once, and memoise each merge
+verdict by state and options, together with the read tracks it touches;
+both are made again only if the table gains rules.
 
 Branches are never merged on the planes, so two branches may come to hold
 one configuration, whose amplitudes would interfere. The planes do not
@@ -84,9 +88,13 @@ Rows = dict[tuple[str, tuple[str, ...]], tuple[Row, ...]]
 Option = str | tuple[str, ...]
 
 #: One rule applied to the whole mask: (amplitude is -1, next state, the
-#: writes that change a cell, the head moves as in :data:`Row`).
-Merged = tuple[bool, str, tuple[tuple[int, str], ...], tuple[tuple[int, int], ...]]
-Verdicts = dict[tuple[str, tuple[Option, ...]], Merged | None]
+#: writes that change a cell, the head moves as in :data:`Row`, and the
+#: ``(key index, track)`` of each read track whose cell the step changes
+#: under the heads: its head moves, or the rule writes it).
+Merged = tuple[bool, str, tuple[tuple[int, str], ...], tuple[tuple[int, int], ...],
+               tuple[tuple[int, int], ...]]
+#: Merge verdicts keyed by ``(state, *options)``, one option per read track.
+Verdicts = dict[tuple[Option, ...], Merged | None]
 
 #: Each table's rows and merge verdicts, made on its first step and dropped
 #: with the table.
@@ -140,7 +148,10 @@ def _merge(delta: TransitionFunction, state: str,
         return None
     read = dict(zip(delta.read_tracks, options))
     writes = tuple((t, sym) for t, sym in taken.writes if read.get(t) != sym)
-    return amp == -1, taken.next_state, writes, _moves(taken)
+    moves = _moves(taken)
+    touched = {t for t, _ in writes} | {t for t, _ in moves}
+    reread = tuple((i, t) for i, t in enumerate(delta.read_tracks, 1) if t in touched)
+    return amp == -1, taken.next_state, writes, moves, reread
 
 
 class LockstepError(RuntimeError):
@@ -235,14 +246,12 @@ class Planes:
         return self._split(_compiled(delta)[0], delta, finals)
 
     def _split(self, compiled: Rows, delta: TransitionFunction,
-               finals: frozenset[str], cells: list | None = None) -> bool:
-        """:meth:`step`, given ``delta``'s rows as :func:`_compiled` makes
-        them and, if the caller has read them, the cells under the heads."""
+               finals: frozenset[str]) -> bool:
+        """:meth:`step`, given ``delta``'s rows as :func:`_compiled` makes them."""
         tracks, heads = self.tracks, self.heads
-        if cells is None:
-            cells = []  # a loop, as a comprehension costs more per step
-            for t in delta.read_tracks:
-                cells.append(tracks[t].get(heads[t]))
+        cells = []  # a loop, as a comprehension costs more per step
+        for t in delta.read_tracks:
+            cells.append(tracks[t].get(heads[t]))
         groups: dict[str, Mask] = {}
         moves = []
         forking = False
@@ -333,53 +342,57 @@ class Planes:
         ``phase.entry``, and ``on_step(planes, halting_mass)`` sees each step.
         Returns the number of steps taken.
 
-        While one group runs, each step reads every cell under the heads as
-        an :data:`Option`. When every key in the product of those options
-        takes the same one-target :class:`~.machine.Rule` of amplitude ±1,
-        that rule is applied to the whole mask, in a loop that holds the
-        state, mask and heads in locals. The product holds every key a branch
-        reads, and maybe more, so such a step ends where the split would end.
-        Any other step goes to the split of :meth:`step` with the cells
-        already read; it raises whatever the planes refuse. Both lanes stop
-        with ``RuntimeError`` before step ``MAX_PHASE_STEPS + 1``.
+        While one group runs, the step holds the verdict key
+        ``[state, *options]``, one :data:`Option` per cell under the heads.
+        When every key in the product of those options takes the same
+        one-target :class:`~.machine.Rule` of amplitude ±1, that rule is
+        applied to the whole mask, in a loop that holds the state, mask and
+        heads in locals. The product holds every key a branch reads, and
+        maybe more, so such a step ends where the split would end. The mask
+        does not change in that loop, so a cell that no head left and no
+        write changed reads as before: the next step sets the new state and
+        re-reads only the cells of the verdict's touched tracks. Any other
+        step goes to the split of :meth:`step`, which reads every cell
+        afresh and raises whatever the planes refuse. Both lanes stop with
+        ``RuntimeError`` before step ``MAX_PHASE_STEPS + 1``.
         """
         state = phase.entry
         self.groups = {state: reduce(or_, self.groups.values(), 0)}
         delta, finals = phase.delta, phase.finals
         compiled, verdicts = _compiled(delta)
         tracks = self.tracks
-        reads = [(t, tracks[t]) for t in delta.read_tracks]
+        every = tuple(enumerate(delta.read_tracks, 1))
         steps = 0
         running = state not in finals
         while running:
-            cells = None
             if len(self.groups) == 1:  # running, so its state is not final
                 [(state, mask)] = self.groups.items()
                 heads = list(self.heads)
                 sign = self.sign
+                key = [state] + [BLANK] * len(every)  # every option is read below
+                reread = every
                 while steps < MAX_PHASE_STEPS:
-                    cells, options = [], []
-                    for t, track in reads:
-                        cell = track.get(heads[t])
-                        cells.append(cell)
+                    for i, t in reread:
+                        cell = tracks[t].get(heads[t])
                         if cell is None:
-                            options.append(BLANK)
+                            key[i] = BLANK
                         elif len(cell) == 1:
                             [(sym, sm)] = cell.items()
-                            options.append(sym if sm == mask else (sym, BLANK))
+                            key[i] = sym if sm == mask else (sym, BLANK)
                         else:
                             cover = 0
                             for sm in cell.values():
                                 cover |= sm
-                            options.append(tuple(cell) if cover == mask else (*cell, BLANK))
-                    key = state, tuple(options)
+                            key[i] = tuple(cell) if cover == mask else (*cell, BLANK)
+                    verdict = tuple(key)
                     try:
-                        merged = verdicts[key]
+                        merged = verdicts[verdict]
                     except KeyError:
-                        merged = verdicts[key] = _merge(delta, *key)
+                        merged = verdicts[verdict] = _merge(delta, state, verdict[1:])
                     if merged is None:
                         break
-                    flip, state, writes, shift = merged
+                    flip, state, writes, shift, reread = merged
+                    key[0] = state
                     if flip:
                         sign ^= mask
                     for t, sym in writes:
@@ -403,7 +416,7 @@ class Planes:
                 raise RuntimeError(
                     f"phase {phase.name!r} exceeded {MAX_PHASE_STEPS} steps without halting"
                 )
-            running = self._split(compiled, delta, finals, cells)
+            running = self._split(compiled, delta, finals)
             steps += 1
             if on_step is not None:
                 halted = sum(m.bit_count() for s, m in self.groups.items() if s in finals)

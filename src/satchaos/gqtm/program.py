@@ -56,6 +56,7 @@ SQRT_HALF = 1.0 / math.sqrt(2.0)
 # Non-blank alphabets by track.
 INPUT_SYMBOLS = ("0", "1", "X", "Y", "C_S", "C_E")
 BIT_SYMBOLS = ("0", "1")
+_BITS = frozenset(BIT_SYMBOLS)
 COUNTER_SYMBOLS = ("0", "1", "A", "B")
 
 _ALPHABETS = {0: INPUT_SYMBOLS, 1: BIT_SYMBOLS, 2: BIT_SYMBOLS, 3: COUNTER_SYMBOLS}
@@ -76,14 +77,14 @@ def encode_sat_input(inst: SatInstance) -> tuple[str, ...]:
     ε_k = 1 iff variable k occurs positively, ε̄_k = 1 iff it occurs negated;
     duplicates inside a clause collapse (they cannot change the disjunction).
     """
-    n = inst.num_vars
-    symbols: list[str] = ["0"] * n + ["X"]
+    bits = f"0{inst.num_vars}b"  # n digits; reversed, digit k-1 is mask bit k-1
+    symbols: list[str] = ["0"] * inst.num_vars + ["X"]
     for clause in inst.clauses:
         pos, neg = clause.masks()
         symbols.append("C_S")
-        symbols.extend("1" if pos >> k & 1 else "0" for k in range(n))
+        symbols.extend(format(pos, bits)[::-1])
         symbols.append("Y")
-        symbols.extend("1" if neg >> k & 1 else "0" for k in range(n))
+        symbols.extend(format(neg, bits)[::-1])
         symbols.append("C_E")
     return tuple(symbols)
 
@@ -350,6 +351,15 @@ def sat_machine(num_vars: int) -> SatMachine:
     )
 
 
+def _input_planes(inst: SatInstance, width: int, entry: str,
+                  track1: dict[int, dict[str, Mask]]) -> Planes:
+    """``width`` branches in ``entry`` with every head on cell 0, the encoding
+    of ``inst`` on track 0 of every branch and ``track1`` on track 1."""
+    full = (1 << width) - 1
+    track0 = {i: {s: full} for i, s in enumerate(encode_sat_input(inst))}
+    return Planes(width, (0, 0, 0, 0), {entry: full}, [track0, track1, {}, {}])
+
+
 def initial_configuration(machine: SatMachine, inst: SatInstance) -> Configuration:
     symbols = encode_sat_input(inst)
     track0 = {i: s for i, s in enumerate(symbols)}
@@ -459,7 +469,7 @@ def run_sat_gqtm(inst: SatInstance, params: LogisticParams = LogisticParams(), *
             live = cur.live()
             write_row(live, cur.mass(live), halting_mass)
 
-    planes = Planes.from_configuration(initial_configuration(machine, inst))
+    planes = _input_planes(inst, 1, machine.phase("setup").entry, {})
     steps = 0
     for name in UNITARY_STAGE:
         steps += planes.run_phase(machine.phase(name), on_step)
@@ -543,10 +553,9 @@ def run_classical_branches(inst: SatInstance, assignments
     if not width:
         return []
     full = (1 << width) - 1
-    track0 = {i: {s: full} for i, s in enumerate(encode_sat_input(inst))}
     track1 = {k: {sym: m for sym, m in (("0", full ^ one), ("1", one)) if m}
               for k, one in enumerate(ones)}
-    planes = Planes(width, (0, 0, 0, 0), {OR_EVAL.entry: full}, [track0, track1, {}, {}])
+    planes = _input_planes(inst, width, OR_EVAL.entry, track1)
     planes.run_phase(OR_EVAL)
     clause_planes = [_bit_plane(planes, 2, j, OR_EVAL) for j in range(inst.num_clauses)]
     planes.run_phase(AND_EVAL)
@@ -561,7 +570,7 @@ def _bit_plane(planes: Planes, track: int, pos: int, phase: Phase) -> Mask:
     """The branches holding 1 in one cell, which must hold a bit on every branch."""
     cell = planes.tracks[track].get(pos, {})
     covered = cell.get("0", 0) | cell.get("1", 0)
-    if cell.keys() - {"0", "1"} or covered != (1 << planes.width) - 1:
+    if not cell.keys() <= _BITS or covered != (1 << planes.width) - 1:
         raise RuntimeError(
             f"track {track} cell {pos} holds {sorted(cell)} on {covered.bit_count()} "
             f"of {planes.width} branches after the {phase.name} phase, expected a "

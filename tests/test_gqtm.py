@@ -6,7 +6,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from satchaos.amplifier import amplify_detect, iteration_window, snap_dyadic
 from satchaos.circuit import run as circuit_run
@@ -332,6 +332,30 @@ def test_encode_worked_example():
     assert "".join(encode_sat_input(WORKED)) == WORKED_ENCODING
 
 
+def _encode_per_bit(inst) -> tuple[str, ...]:
+    """The track-0 encoding read off the literals one variable at a time."""
+    n = inst.num_vars
+    symbols = ["0"] * n + ["X"]
+    for clause in inst.clauses:
+        for marker, negated in (("C_S", False), ("Y", True)):
+            occurs = {lit.variable for lit in clause.literals if lit.negated == negated}
+            symbols.append(marker)
+            symbols.extend("1" if k in occurs else "0" for k in range(1, n + 1))
+        symbols.append("C_E")
+    return tuple(symbols)
+
+
+@given(small_cnfs_up_to(16))
+@example((16, [[16, -16, 16], [1, -1]]))
+@example((9, [[9]]))
+@settings(max_examples=200, deadline=None)
+def test_encoding_matches_its_per_bit_definition(cnf):
+    """Each mask fills its n cells low variable first, whatever the
+    duplicates and signs in a clause, up to the 16-variable guard."""
+    inst = instance_from_ints(*cnf)
+    assert encode_sat_input(inst) == _encode_per_bit(inst)
+
+
 def test_machine_metadata():
     machine = sat_machine(3)
     assert [p.name for p in machine.phases][:4] == list(UNITARY_STAGE)
@@ -442,10 +466,13 @@ def test_classical_branches_match_eval():
 @pytest.mark.parametrize("width", [8, 1 << 14])  # masks too wide to print
 def test_replay_readout_refuses_a_cell_without_a_bit(width):
     full = (1 << width) - 1
-    planes = Planes(width, (0, 0, 0, 0), {},
-                    [{}, {}, {}, {0: {"1": full >> 1, "A": 1 << (width - 1)}}])
-    with pytest.raises(RuntimeError, match=rf"\['1', 'A'\] on {width - 1} of {width}"):
-        _bit_plane(planes, 3, 0, AND_EVAL)
+    for cell, held, covered in (
+        ({"1": full >> 1, "A": 1 << (width - 1)}, r"\['1', 'A'\]", width - 1),
+        ({"A": full}, r"\['A'\]", 0),  # a non-bit symbol on every branch
+    ):
+        planes = Planes(width, (0, 0, 0, 0), {}, [{}, {}, {}, {0: cell}])
+        with pytest.raises(RuntimeError, match=rf"{held} on {covered} of {width}"):
+            _bit_plane(planes, 3, 0, AND_EVAL)
 
 
 @given(small_cnfs_up_to(8), st.data())
@@ -917,9 +944,9 @@ def _random_instance(rng: random.Random, num_vars: int):
 
 @pytest.mark.parametrize("num_vars", range(1, 7))
 def test_every_phase_steps_like_the_split_path(num_vars, monkeypatch):
-    """Each run_phase of a full run, its detection loop and a batched replay
-    ends where stepping a copy through Planes.step alone ends, in as many
-    steps."""
+    """Each run_phase of a full run, its detection loop, a batched replay
+    and one-assignment replays ends where stepping a copy through Planes.step
+    alone ends, in as many steps."""
     run = Planes.run_phase
     phases = set()
 
@@ -937,10 +964,24 @@ def test_every_phase_steps_like_the_split_path(num_vars, monkeypatch):
         inst = _random_instance(rng, num_vars)
         run_sat_gqtm(inst)
         assignments = list(itertools.product((0, 1), repeat=num_vars))
-        assert [r for _, r in run_classical_branches(inst, assignments)] == [
-            eval_instance(inst, bits) for bits in assignments
-        ]
+        results = [eval_instance(inst, bits) for bits in assignments]
+        assert [r for _, r in run_classical_branches(inst, assignments)] == results
+        assert [run_classical_branch(inst, bits)[1] for bits in assignments] == results
     assert phases >= set(UNITARY_STAGE + COLLAPSE_STAGE)
+
+
+def test_a_cell_written_under_a_still_head_is_read_again():
+    """The merged lane re-reads a cell its rule wrote though no head moved:
+    "s" writes "1" in place, and "t" moves the head by what it reads there."""
+    table = TransitionFunction("in-place", 1, (0,), (0,), {0: ("0", "1")})
+    table.add("s", ("0",), [rule(1, "t", writes={0: "1"})])
+    table.add("t", ("0",), [rule(1, "done", moves={0: -1})])
+    table.add("t", ("1",), [rule(1, "done", moves={0: +1})])
+    phase = _fork_phase(table)
+    merged, split = _one_branch({0: "0"}), _one_branch({0: "0"})
+    assert merged.run_phase(phase) == _step_through(split, phase) == 2
+    assert _snapshot(merged) == _snapshot(split)
+    assert (merged.heads, merged.tracks) == ((1,), [{0: {"1": 1}}])
 
 
 def _bit_table(on_0, on_1, *, on_blank=None, tracks=1) -> TransitionFunction:
