@@ -6,8 +6,16 @@ in the idiom of :func:`satchaos.circuit.bit_planes`: one bit per branch in
 every mask, a mask being a Python int, and one head vector that every
 branch shares.
 
-- Each track maps a position to ``{symbol: mask}``. A cell is blank for the
-  branches whose bit is set under none of its symbols.
+- Each track maps a position to a cell in one of two forms: the bare
+  symbol when every branch holds that symbol, or ``{symbol: mask}``
+  otherwise. A cell is blank for the branches whose bit is set under none
+  of its symbols, and a position that is blank on every branch is absent.
+  The planes never make a dict in which one symbol covers every branch
+  (:func:`canonical_cell`), so both lanes leave equal planes, and a cell
+  that every branch shares (all of track 0, every cell of a one-branch
+  run) costs no mask, no copy at a fork and no mask compare on a read.
+  :meth:`Planes.cell` reads either form as ``{symbol: mask}``; no module
+  but this one tells the two apart.
 - Groups map a state to the mask of the branches in that state.
 - The sign plane marks the branches whose amplitude is negative. After k
   forks every branch has magnitude 2^(-k/2), so amplitudes need no floats.
@@ -20,12 +28,12 @@ into the lower copy of the branches, the second into the upper one.
 
 Most steps need no split. Every branch shares the head vector, so a step
 in which every branch takes the same rule is one update of the whole mask,
-whatever symbols the branches read. While one group runs,
+whatever symbols the branches read. While one group holds every branch,
 :meth:`Planes.run_phase` reads each cell under the heads as a blank, one
 symbol on every branch, or the tuple of its symbols, plus a blank when they
 leave some branch out. If every key in the product of those options has one
 target, the same :class:`~.machine.Rule` for all of them, of amplitude ±1,
-it applies that rule to the whole mask: a sign flip, ``{symbol: mask}`` in
+it applies that rule to the whole mask: a sign flip, the bare symbol in
 each written cell, one head shift. The product holds every key some branch
 reads, and maybe keys none reads, so it can send a step to the split when
 it need not, but never merges a step wrongly. So replays, the detection
@@ -75,6 +83,8 @@ from .machine import (
 )
 
 Mask = int
+#: A cell: the bare symbol that every branch holds, or ``{symbol: mask}``.
+Cell = str | dict[str, Mask]
 
 #: One target of δ in the form the planes apply: (amplitude, next state, the
 #: writes that change a cell, the head moves ``(track, ±1)`` in track order;
@@ -154,6 +164,21 @@ def _merge(delta: TransitionFunction, state: str,
     return amp == -1, taken.next_state, writes, moves, reread
 
 
+def canonical_cell(cell: dict[str, Mask], full: Mask) -> Cell:
+    """``cell`` less its empty masks, or its bare symbol when one symbol
+    covers ``full``, every branch. An empty result means a blank cell.
+
+    The masks of a cell are disjoint, as each branch holds one symbol, so a
+    symbol that covers every branch is the only one with a mask."""
+    kept = {}
+    for sym, m in cell.items():
+        if m:
+            if m == full:
+                return sym
+            kept[sym] = m
+    return kept
+
+
 class LockstepError(RuntimeError):
     """A step the planes cannot hold without giving up lockstep.
 
@@ -171,13 +196,17 @@ class Planes:
 
     ``width`` is the size of the branch index space, 2^forks for a run that
     starts from one configuration; every index is a live branch. ``heads``
-    holds every branch's head positions.
+    holds every branch's head positions. ``tracks`` maps each track's
+    positions to a :data:`Cell`: the bare symbol when every branch holds
+    it, as in ``dict(enumerate(symbols))`` for a tape that all branches
+    share, or ``{symbol: mask}``. The planes read a full-width one-symbol
+    dict as its symbol, but only ever write the bare form.
     """
 
     __slots__ = ("width", "forks", "heads", "groups", "tracks", "sign")
 
     def __init__(self, width: int, heads: tuple[int, ...], groups: dict[str, Mask],
-                 tracks: list[dict[int, dict[str, Mask]]]):
+                 tracks: list[dict[int, Cell]]):
         self.width = width
         self.forks = 0
         self.heads = heads
@@ -189,10 +218,20 @@ class Planes:
     def from_configuration(cls, config: Configuration) -> "Planes":
         state, tapes, heads = config
         tracks = [
-            {origin + i: {sym: 1} for i, sym in enumerate(symbols) if sym != BLANK}
+            {origin + i: sym for i, sym in enumerate(symbols) if sym != BLANK}
             for origin, symbols in tapes
         ]
         return cls(1, heads, {state: 1}, tracks)
+
+    def cell(self, track: int, pos: int) -> dict[str, Mask]:
+        """The cell at ``pos`` of ``track`` as ``{symbol: mask}``, ``{}`` when
+        it is blank on every branch. Read only: it may be the planes' own."""
+        cell = self.tracks[track].get(pos)
+        if cell is None:
+            return {}
+        if cell.__class__ is str:
+            return {cell: (1 << self.width) - 1}
+        return cell
 
     def live(self) -> int:
         """Number of branches in some group."""
@@ -206,8 +245,9 @@ class Planes:
         shift = self.width
         for cells in self.tracks:
             for cell in cells.values():
-                for sym, m in cell.items():
-                    cell[sym] = m | m << shift
+                if cell.__class__ is not str:  # a bare symbol holds on the copies too
+                    for sym, m in cell.items():
+                        cell[sym] = m | m << shift
         self.groups = {state: m | m << shift for state, m in self.groups.items()}
         self.sign |= self.sign << shift
         self.width *= 2
@@ -216,27 +256,18 @@ class Planes:
     def _write(self, m: Mask, writes) -> None:
         """Apply one row's writes to the branches of ``m``."""
         tracks, heads = self.tracks, self.heads
+        full = (1 << self.width) - 1
         for track, sym in writes:
             cells = tracks[track]
             pos = heads[track]
-            cell = cells.get(pos)
-            if cell is None:
-                if sym != BLANK:
-                    cells[pos] = {sym: m}
-                continue
-            kept = {}
-            for s, sm in cell.items():
-                if s != sym:
-                    sm &= ~m
-                    if not sm:
-                        continue
-                kept[s] = sm
+            kept = {s: sm & ~m for s, sm in self.cell(track, pos).items()}
             if sym != BLANK:
                 kept[sym] = kept.get(sym, 0) | m
-            if kept:
-                cells[pos] = kept
+            cell = canonical_cell(kept, full)
+            if cell:
+                cells[pos] = cell
             else:
-                del cells[pos]
+                cells.pop(pos, None)
 
     def step(self, delta: TransitionFunction, finals: frozenset[str]) -> bool:
         """One application of δ to every branch not in a final state, in place.
@@ -261,8 +292,9 @@ class Planes:
                 continue
             parts = [((), mask)]
             for cell in cells:
-                if cell is None:
-                    parts = [(syms + (BLANK,), m) for syms, m in parts]
+                if cell.__class__ is not dict:  # a blank or a bare symbol: one read for all
+                    sym = BLANK if cell is None else cell
+                    parts = [(syms + (sym,), m) for syms, m in parts]
                     continue
                 split = []
                 for syms, m in parts:
@@ -342,22 +374,29 @@ class Planes:
         ``phase.entry``, and ``on_step(planes, halting_mass)`` sees each step.
         Returns the number of steps taken.
 
-        While one group runs, the step holds the verdict key
+        While one group of every branch runs, the step holds the verdict key
         ``[state, *options]``, one :data:`Option` per cell under the heads.
         When every key in the product of those options takes the same
         one-target :class:`~.machine.Rule` of amplitude ±1, that rule is
         applied to the whole mask, in a loop that holds the state, mask and
-        heads in locals. The product holds every key a branch reads, and
-        maybe more, so such a step ends where the split would end. The mask
-        does not change in that loop, so a cell that no head left and no
-        write changed reads as before: the next step sets the new state and
-        re-reads only the cells of the verdict's touched tracks. Any other
-        step goes to the split of :meth:`step`, which reads every cell
-        afresh and raises whatever the planes refuse. Both lanes stop with
-        ``RuntimeError`` before step ``MAX_PHASE_STEPS + 1``.
+        heads in locals and writes bare symbols. The product holds
+        every key a branch reads, and maybe more, so such a step ends where
+        the split would end. The mask does not change in that loop, so a
+        cell that no head left and no write changed reads as before: the
+        next step sets the new state and re-reads only the cells of the
+        verdict's touched tracks. Any other step goes to the split of
+        :meth:`step`, which reads every cell afresh and raises whatever the
+        planes refuse. Both lanes stop with ``RuntimeError`` before step
+        ``MAX_PHASE_STEPS + 1``.
         """
         state = phase.entry
-        self.groups = {state: reduce(or_, self.groups.values(), 0)}
+        mask = reduce(or_, self.groups.values(), 0)
+        self.groups = {state: mask}
+        # Whether the groups hold every branch: a step keeps each branch in
+        # some group, and a fork doubles the groups and the width alike, so
+        # this holds for the whole phase. With a lost branch every step
+        # splits, which keeps that branch's cells.
+        whole = mask.bit_count() == self.width
         delta, finals = phase.delta, phase.finals
         compiled, verdicts = _compiled(delta)
         tracks = self.tracks
@@ -365,7 +404,7 @@ class Planes:
         steps = 0
         running = state not in finals
         while running:
-            if len(self.groups) == 1:  # running, so its state is not final
+            if whole and len(self.groups) == 1:  # running, so its state is not final
                 [(state, mask)] = self.groups.items()
                 heads = list(self.heads)
                 sign = self.sign
@@ -376,6 +415,8 @@ class Planes:
                         cell = tracks[t].get(heads[t])
                         if cell is None:
                             key[i] = BLANK
+                        elif cell.__class__ is str:
+                            key[i] = cell
                         elif len(cell) == 1:
                             [(sym, sm)] = cell.items()
                             key[i] = sym if sm == mask else (sym, BLANK)
@@ -399,7 +440,7 @@ class Planes:
                         if sym == BLANK:
                             tracks[t].pop(heads[t], None)
                         else:
-                            tracks[t][heads[t]] = {sym: mask}
+                            tracks[t][heads[t]] = sym
                     for t, move in shift:
                         heads[t] += move
                     steps += 1
@@ -428,7 +469,7 @@ class Planes:
         bit = 1 << i
         state = next(s for s, m in self.groups.items() if m & bit)
         tracks = [
-            {pos: sym for pos, cell in cells.items() for sym, sm in cell.items() if sm & bit}
-            for cells in self.tracks
+            {pos: sym for pos in cells for sym, sm in self.cell(t, pos).items() if sm & bit}
+            for t, cells in enumerate(self.tracks)
         ]
         return make_configuration(state, tracks, self.heads)

@@ -49,7 +49,7 @@ from .machine import (
     make_configuration,
     rule,
 )
-from .planes import LockstepError, Mask, Planes
+from .planes import Cell, LockstepError, Mask, Planes, canonical_cell
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
 
@@ -352,12 +352,11 @@ def sat_machine(num_vars: int) -> SatMachine:
 
 
 def _input_planes(inst: SatInstance, width: int, entry: str,
-                  track1: dict[int, dict[str, Mask]]) -> Planes:
+                  track1: dict[int, Cell]) -> Planes:
     """``width`` branches in ``entry`` with every head on cell 0, the encoding
     of ``inst`` on track 0 of every branch and ``track1`` on track 1."""
-    full = (1 << width) - 1
-    track0 = {i: {s: full} for i, s in enumerate(encode_sat_input(inst))}
-    return Planes(width, (0, 0, 0, 0), {entry: full}, [track0, track1, {}, {}])
+    track0 = dict(enumerate(encode_sat_input(inst)))
+    return Planes(width, (0, 0, 0, 0), {entry: (1 << width) - 1}, [track0, track1, {}, {}])
 
 
 def initial_configuration(machine: SatMachine, inst: SatInstance) -> Configuration:
@@ -417,8 +416,9 @@ def collapse(planes: Planes, machine: SatMachine) -> tuple[Mask, Mask]:
         )
     planes.run_phase(handoff)
     split = sorted(
-        pos for pos, cell in planes.tracks[3].items()
-        if any(sm & g not in (0, g) for sm in cell.values() for g in planes.groups.values())
+        pos for pos in planes.tracks[3]
+        if any(sm & g not in (0, g)
+               for sm in planes.cell(3, pos).values() for g in planes.groups.values())
     )
     if split:
         raise RuntimeError(
@@ -483,7 +483,8 @@ def run_sat_gqtm(inst: SatInstance, params: LogisticParams = LogisticParams(), *
     full = (1 << planes.width) - 1
     ones = [_h_plane(n - k, n) for k in range(n)]
     spread = {k: {"0": full ^ p, "1": p} for k, p in enumerate(ones)}
-    if planes.width != 1 << n or planes.tracks[1] != spread:
+    track1 = {k: planes.cell(1, k) for k in planes.tracks[1]}
+    if planes.width != 1 << n or track1 != spread:
         raise LockstepError(
             "track 1 does not hold one assignment per branch before the collapse; "
             "branches may coincide, and the planes cannot weigh their interference"
@@ -544,16 +545,16 @@ def run_classical_branches(inst: SatInstance, assignments
     ones = [0] * n  # per variable, the branches where it is 1
     width = 0
     for bits in assignments:
-        bits = tuple(int(b) for b in bits)
-        if len(bits) != n or any(b not in (0, 1) for b in bits):
+        bits = tuple(bits)
+        if len(bits) != n or any(b not in (0, 1) for b in bits):  # 0.9 is no bit
             raise ValueError(f"need {n} bits in {{0,1}}, got {bits!r}")
         for k, b in enumerate(bits):
-            ones[k] |= b << width
+            ones[k] |= int(b) << width
         width += 1
     if not width:
         return []
     full = (1 << width) - 1
-    track1 = {k: {sym: m for sym, m in (("0", full ^ one), ("1", one)) if m}
+    track1 = {k: canonical_cell({"0": full ^ one, "1": one}, full)
               for k, one in enumerate(ones)}
     planes = _input_planes(inst, width, OR_EVAL.entry, track1)
     planes.run_phase(OR_EVAL)
@@ -568,7 +569,7 @@ def run_classical_branches(inst: SatInstance, assignments
 
 def _bit_plane(planes: Planes, track: int, pos: int, phase: Phase) -> Mask:
     """The branches holding 1 in one cell, which must hold a bit on every branch."""
-    cell = planes.tracks[track].get(pos, {})
+    cell = planes.cell(track, pos)
     covered = cell.get("0", 0) | cell.get("1", 0)
     if not cell.keys() <= _BITS or covered != (1 << planes.width) - 1:
         raise RuntimeError(

@@ -125,8 +125,16 @@ def _with_size_warning(inst: SatInstance) -> SatInstance:
     return inst
 
 
+def _plain_ints(text: str) -> bool:
+    """Whether ``int`` reads the integers in ``text`` as DIMACS writes them,
+    an optional sign and ASCII digits: it would also read ``1_0`` as 10 and
+    ``٣`` or ``１`` as 3 and 1."""
+    return text.isascii() and "_" not in text
+
+
 def parse_dimacs(text: str) -> SatInstance:
-    """Parse DIMACS CNF. Strict: the header's counts must match the body.
+    """Parse DIMACS CNF. Strict: every integer is an optional sign and ASCII
+    digits, and the header's counts must match the body.
 
     A line holding only ``%`` ends the clause data, as in the SATLIB
     benchmark files, which close with a ``%`` line and a lone ``0``.
@@ -150,6 +158,8 @@ def parse_dimacs(text: str) -> SatInstance:
             if len(parts) != 4 or parts[1] != "cnf":
                 raise DimacsError(f"malformed header {line!r}; expected 'p cnf <vars> <clauses>'", lineno)
             try:
+                if not _plain_ints(parts[2] + parts[3]):
+                    raise ValueError
                 num_vars, declared_clauses = int(parts[2]), int(parts[3])
             except ValueError:
                 raise DimacsError(f"non-integer counts in header {line!r}", lineno) from None
@@ -158,6 +168,10 @@ def parse_dimacs(text: str) -> SatInstance:
             continue
         if num_vars is None:
             raise DimacsError(f"clause data before 'p cnf' header: {line!r}", lineno)
+        if not _plain_ints(line):  # one test per line; find the token only on failure
+            for token in line.split():
+                if not _plain_ints(token):
+                    raise DimacsError(f"non-integer token {token!r}", lineno)
         for token in line.split():
             try:
                 value = int(token)

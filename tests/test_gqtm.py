@@ -456,8 +456,12 @@ def test_classical_branches_match_eval():
         assert clause_bits == tuple(
             eval_clause(clause, bits) for clause in WORKED.clauses
         )
-    with pytest.raises(ValueError):
-        run_classical_branch(WORKED, (0, 1))
+    for bits in ((False, True, 0.0), (1.0, 0, True)):  # bits by value
+        assert run_classical_branch(WORKED, bits) == run_classical_branch(
+            WORKED, tuple(int(b) for b in bits))
+    for bits in ((0, 1), (0.9, 0, 1), (0, "1", 0)):  # not truncated to a bit
+        with pytest.raises(ValueError):
+            run_classical_branch(WORKED, bits)
     with pytest.raises(ValueError):
         run_classical_branches(WORKED, [(0, 1, 0), (0, 2, 0)])
     assert run_classical_branches(WORKED, []) == []
@@ -668,36 +672,55 @@ def test_collapse_certifies_the_weights_sum_to_one():
         collapse(planes, machine)
 
 
-def _plant_stray_track_1_cell(planes):
+N14 = instance_from_ints(14, [[1, 2, 3]])
+
+
+def _full_dict(planes, sym):
+    """``sym`` on every branch as a dict: the planes read it, never write it."""
+    return {sym: (1 << planes.width) - 1}
+
+
+def _bare(planes, sym):
+    """``sym`` on every branch as the planes write it."""
+    return sym
+
+
+def _plant_stray_track_1_cell(planes, form):
     # Beyond the assignment bits and a blank, where the erasure never looks.
-    planes.tracks[1][max(planes.tracks[1]) + 4] = {"1": (1 << planes.width) - 1}
+    planes.tracks[1][max(planes.tracks[1]) + 4] = form(planes, "1")
 
 
-def _plant_track_3_cell_on_one_branch(planes):
+def _plant_track_3_cell_on_one_branch(planes, form):
     planes.tracks[3][40] = {"1": 1 << 3}  # past the counter, on branch 3 only
 
 
-def _plant_non_bit_result(planes):
-    planes.tracks[3][0] = {"A": (1 << planes.width) - 1}
+def _plant_non_bit_result(planes, form):
+    planes.tracks[3][0] = form(planes, "A")
 
 
-@pytest.mark.parametrize("plant, error, match", [
-    (_plant_stray_track_1_cell, RuntimeError, "not blank"),
-    (_plant_track_3_cell_on_one_branch, RuntimeError, "one per result bit"),
-    (_plant_non_bit_result, StuckConfigurationError, "handoff_read"),
-], ids=["stray-workspace-cell", "split-result-configuration", "non-bit-result"])
-@pytest.mark.parametrize("inst", [WORKED, instance_from_ints(14, [[1, 2, 3]])],
-                         ids=["worked", "n14"])  # masks too wide to print
-def test_collapse_refuses_a_broken_readout(plant, error, match, inst):
+@pytest.mark.parametrize("plant, form, error, match", [
+    (_plant_stray_track_1_cell, _full_dict, RuntimeError, "not blank"),
+    (_plant_stray_track_1_cell, _bare, RuntimeError, "not blank"),
+    (_plant_track_3_cell_on_one_branch, None, RuntimeError, "one per result bit"),
+    (_plant_non_bit_result, _full_dict, StuckConfigurationError, "handoff_read"),
+    (_plant_non_bit_result, _bare, StuckConfigurationError, "handoff_read"),
+], ids=["stray-workspace-cell", "stray-workspace-cell-bare", "split-result-configuration",
+        "non-bit-result", "non-bit-result-bare"])
+@pytest.mark.parametrize("inst", [WORKED, N14], ids=["worked", "n14"])  # masks too wide to print
+def test_collapse_refuses_a_broken_readout(plant, form, error, match, inst):
     machine, planes, _ = _planes_stage(inst)
-    plant(planes)
+    plant(planes, form)
     with pytest.raises(error, match=match):
         collapse(planes, machine)
 
 
-@pytest.mark.parametrize("inst", [WORKED, instance_from_ints(14, [[1, 2, 3]])],
-                         ids=["worked", "n14"])  # masks too wide to print
-def test_run_refuses_branches_it_cannot_prove_distinct(inst, monkeypatch):
+@pytest.mark.parametrize("inst, form", [
+    pytest.param(WORKED, _full_dict, id="worked"),
+    pytest.param(N14, _full_dict, id="n14"),  # masks too wide to print
+    pytest.param(WORKED, _bare, id="worked-bare"),
+    pytest.param(N14, _bare, id="n14-bare"),
+])
+def test_run_refuses_branches_it_cannot_prove_distinct(inst, form, monkeypatch):
     """Once the unitary stage ends, variable 0 reads 0 on every branch, so
     branches that differ only in it share their track 1."""
     run_phase = Planes.run_phase
@@ -705,12 +728,36 @@ def test_run_refuses_branches_it_cannot_prove_distinct(inst, monkeypatch):
     def planted(planes, phase, on_step=None):
         steps = run_phase(planes, phase, on_step)
         if phase.name == UNITARY_STAGE[-1]:
-            planes.tracks[1][0] = {"0": (1 << planes.width) - 1}
+            planes.tracks[1][0] = form(planes, "0")
         return steps
 
     monkeypatch.setattr(Planes, "run_phase", planted)
     with pytest.raises(LockstepError, match="one assignment per branch"):
         run_sat_gqtm(inst)
+
+
+def test_a_cell_that_every_branch_shares_holds_no_mask(monkeypatch):
+    """After the unitary stage of a seeded n = 14 run, every input cell is
+    its bare symbol, shared by all 2^14 branches, and every assignment cell
+    is a dict of both bits."""
+    run_phase = Planes.run_phase
+    seen = []
+
+    def capture(planes, phase, on_step=None):
+        steps = run_phase(planes, phase, on_step)
+        if phase.name == UNITARY_STAGE[-1]:
+            seen.append((planes.width, dict(planes.tracks[0]), dict(planes.tracks[1])))
+        return steps
+
+    monkeypatch.setattr(Planes, "run_phase", capture)
+    inst = _random_instance(random.Random(14), 14)
+    assert run_sat_gqtm(inst).weights_raw[1] * 2**14 == count_models(inst)
+    [(width, track0, track1)] = seen
+    assert width == 1 << 14
+    assert track0 == dict(enumerate(encode_sat_input(inst)))  # no dict equals a str
+    assert sorted(track1) == list(range(14))
+    for cell in track1.values():
+        assert isinstance(cell, dict) and cell.keys() == {"0", "1"}
 
 
 # --- the bit-plane executor against the dict engine ----------------------------
@@ -895,7 +942,7 @@ def test_shared_rows_carry_the_sign():
     assert (planes.sign, planes.heads, planes.groups) == (1, (1,), {"done": 1})
     planes = _one_branch({0: "1"})
     assert planes.run_phase(_fork_phase(table)) == 1
-    assert (planes.sign, planes.heads, planes.tracks) == (1, (0,), [{0: {"0": 1}}])
+    assert (planes.sign, planes.heads, planes.tracks) == (1, (0,), [{0: "0"}])
 
 
 def test_a_symbol_on_some_branches_splits_the_group(monkeypatch):
@@ -930,7 +977,7 @@ def test_planes_read_rules_added_after_a_step():
         planes.step(table, finals)
     table.add("s", (BLANK,), [rule(1, "done")])
     assert not planes.step(table, finals)
-    assert (planes.heads, planes.groups, planes.tracks) == ((1,), {"done": 1}, [{0: {"1": 1}}])
+    assert (planes.heads, planes.groups, planes.tracks) == ((1,), {"done": 1}, [{0: "1"}])
 
 
 def _random_instance(rng: random.Random, num_vars: int):
@@ -940,6 +987,19 @@ def _random_instance(rng: random.Random, num_vars: int):
         for _ in range(rng.randint(1, num_vars + 1))
     ]
     return instance_from_ints(num_vars, clauses)
+
+
+def _assert_canonical(planes: Planes, name: str) -> None:
+    """Every cell is a bare symbol other than the blank, or a dict of
+    non-empty masks in which no one symbol covers the width."""
+    full = (1 << planes.width) - 1
+    for t, cells in enumerate(planes.tracks):
+        for pos, cell in cells.items():
+            if isinstance(cell, str):
+                assert cell != BLANK, (name, t, pos)
+            else:
+                assert cell and all(cell.values()), (name, t, pos, cell)
+                assert list(cell.values()) != [full], (name, t, pos, cell)
 
 
 @pytest.mark.parametrize("num_vars", range(1, 7))
@@ -955,6 +1015,8 @@ def test_every_phase_steps_like_the_split_path(num_vars, monkeypatch):
         steps = run(planes, phase, on_step)
         assert _step_through(split, phase) == steps, phase.name
         assert _snapshot(planes) == _snapshot(split), phase.name
+        _assert_canonical(planes, phase.name)
+        _assert_canonical(split, phase.name)
         phases.add(phase.name)
         return steps
 
@@ -981,7 +1043,7 @@ def test_a_cell_written_under_a_still_head_is_read_again():
     merged, split = _one_branch({0: "0"}), _one_branch({0: "0"})
     assert merged.run_phase(phase) == _step_through(split, phase) == 2
     assert _snapshot(merged) == _snapshot(split)
-    assert (merged.heads, merged.tracks) == ((1,), [{0: {"1": 1}}])
+    assert (merged.heads, merged.tracks) == ((1,), [{0: "1"}])
 
 
 def _bit_table(on_0, on_1, *, on_blank=None, tracks=1) -> TransitionFunction:
@@ -1034,7 +1096,7 @@ def test_symbols_on_part_of_the_mask_also_read_a_blank(width, cell, monkeypatch)
     assert merged.run_phase(phase) == _step_through(split, phase) == 1
     assert splits == ["bits"]  # _step_through's step only
     assert _snapshot(merged) == _snapshot(split)
-    assert merged.tracks == [{0: {"1": (1 << width) - 1}}]
+    assert merged.tracks == [{0: "1"}]
 
 
 def test_a_merged_write_over_two_symbols_leaves_one(monkeypatch):
@@ -1044,7 +1106,21 @@ def test_a_merged_write_over_two_symbols_leaves_one(monkeypatch):
     assert planes.run_phase(_fork_phase(_bit_table(write_one, write_one))) == 1
     assert splits == []
     assert (planes.heads, planes.groups, planes.sign) == ((1,), {"done": 0b11}, 0b11)
-    assert planes.tracks == [{0: {"1": 0b11}}]
+    assert planes.tracks == [{0: "1"}]
+
+
+def test_a_lost_branch_keeps_its_cells():
+    """Branch 1 is in no group: the step writes "1" for branch 0 alone and
+    leaves branch 1 the "0" that both held, as the split does."""
+    def one_lost():
+        return Planes(2, (0,), {"s": 0b01}, [{0: "0"}])
+
+    table = _bit_table(rule(1, "done", writes={0: "1"}, moves={0: +1}), None)
+    merged, split = one_lost(), one_lost()
+    assert merged.run_phase(_fork_phase(table)) == 1
+    assert not split.step(table, frozenset({"done"}))
+    assert _snapshot(merged) == _snapshot(split)
+    assert merged.tracks == [{0: {"0": 0b10, "1": 0b01}}]
 
 
 def test_run_phase_reads_rules_added_after_a_memoised_step(monkeypatch):

@@ -59,6 +59,17 @@ def test_parse_rejects(text, fragment):
         parse_dimacs(text)
 
 
+def test_parse_reads_only_a_sign_and_ascii_digits():
+    """``int`` reads "1_0" as 10, "٣" as 3 and "１" as 1; DIMACS does not."""
+    assert parse_dimacs("p cnf +3 1\n+1 -3 0\n") == parse_dimacs("p cnf 3 1\n1 -3 0\n")
+    for token in ("1_0", "٣", "１"):
+        with pytest.raises(DimacsError, match="non-integer token") as err:
+            parse_dimacs(f"p cnf 10 1\n2 {token} 0\n")
+        assert err.value.line == 2
+        with pytest.raises(DimacsError, match="non-integer counts"):
+            parse_dimacs(f"p cnf {token} 1\n1 0\n")
+
+
 SATLIB_TRAILER = "p cnf 2 1\n1 -2 0\n%\n0\n"
 
 
@@ -190,7 +201,7 @@ def test_satisfying_indices_match_eval(data):
 # lines with such a line after them, so that a good share of inputs parse.
 dimacs_tokens = st.sampled_from(
     ["p", "cnf", "c", "%", "0", "-0", "00", "1", "-1", "+2", "2", "-2", "3", "-3",
-     "5", "4294967296", "x", "1.5", "\t", "p cnf 2 1", "p cnf 0 0"]
+     "5", "4294967296", "x", "1.5", "\t", "p cnf 2 1", "p cnf 0 0", "1_0", "٣", "１"]
 )
 dimacs_lines = st.lists(dimacs_tokens, max_size=6).map(" ".join)
 clause_lines = st.lists(st.sampled_from([1, -1, 2, -2, 3, -3]), min_size=1, max_size=3).map(
