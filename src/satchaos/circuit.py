@@ -15,12 +15,10 @@ qubit's value under assignment i: parallel-pattern logic simulation);
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 
 from .config import GuardExceeded, INTEGRALITY_ATOL, MAX_PLANE_BYTES, SAT_DECISION_EPS
 from .gates import (
-    _TARGET_FLIP,
     GateKind,
     GateSequence,
     hadamard_layer,
@@ -146,8 +144,8 @@ class CircuitRun:
 
 def gate_tally(gates) -> dict[str, int]:
     """Counts per gate kind, with every kind present (zeros included)."""
-    counts = Counter(g.kind.value for g in gates)
-    return {kind.value: counts.get(kind.value, 0) for kind in GateKind}
+    kinds = [gate.kind for gate in gates]
+    return {kind.value: kinds.count(kind) for kind in GateKind}
 
 
 def _h_plane(qubit: int, num_vars: int) -> int:
@@ -167,24 +165,43 @@ def bit_planes(gates, num_vars: int, num_qubits: int) -> list[int]:
     assignment i (variable qubit j holding bit j-1 of i). The gate list must
     open with H on qubits 1..num_vars in order and contain no other H, so
     that every later gate is a permutation: its target plane is XORed with
-    the gate's boolean function of the control planes.
+    the gate's boolean function of the control planes (``_TARGET_FLIP``),
+    applied here by gate kind.
     """
+    if num_vars > num_qubits:
+        raise ValueError(f"cannot place {num_vars} H gates on {num_qubits} qubits")
     gates = tuple(gates)
-    if gates[:num_vars] != hadamard_layer(num_qubits, num_vars):
+    if len(gates) < num_vars or any(
+        gate.kind is not GateKind.H or gate.positions != (k,)
+        for k, gate in enumerate(gates[:num_vars], start=1)
+    ):
         raise ValueError(
             f"gate list must open with H on qubits 1..{num_vars} in order"
         )
     ones = (1 << (1 << num_vars)) - 1
-    planes = [_h_plane(k, num_vars) for k in range(1, num_vars + 1)]
+    # 1-based: planes[k] is qubit k, so positions index it directly.
+    planes = [0] + [_h_plane(k, num_vars) for k in range(1, num_vars + 1)]
     planes += [0] * (num_qubits - num_vars)
+    # Local names: a GateKind.X lookup per gate costs more than a small plane's XOR.
+    NOT, OR, AND, CCN, COPY, CN = (
+        GateKind.NOT, GateKind.OR, GateKind.AND, GateKind.CCN, GateKind.COPY, GateKind.CN,
+    )
     for gate in gates[num_vars:]:
-        if gate.kind is GateKind.H:
-            raise ValueError(f"{gate!r} after the leading H layer is not a permutation")
-        *controls, target = (p - 1 for p in gate.positions)
-        if gate.kind is GateKind.NOT:
-            planes[target] ^= ones
+        kind, positions = gate.kind, gate.positions
+        if kind is NOT:
+            planes[positions[0]] ^= ones
+        elif kind is OR:
+            a, b, target = positions
+            planes[target] ^= planes[a] | planes[b]
+        elif kind is AND or kind is CCN:
+            a, b, target = positions
+            planes[target] ^= planes[a] & planes[b]
+        elif kind is COPY or kind is CN:
+            a, target = positions
+            planes[target] ^= planes[a]
         else:
-            planes[target] ^= _TARGET_FLIP[gate.kind]([planes[c] for c in controls])
+            raise ValueError(f"{gate!r} after the leading H layer is not a permutation")
+    del planes[0]
     return planes
 
 

@@ -4,11 +4,17 @@ Truth values are plain ints in {0, 1}. An assignment is a tuple of n bits
 where entry k-1 is the value of variable k — the same convention the quantum
 register uses for its basis indices, so assignment i and basis state i always
 mean the same thing.
+
+The oracle, :func:`count_models`, counts on bit planes of its own: each
+variable is one Python int over a chunk of up to 2^20 assignments (bit i is
+its value under assignment i), so memory stays bounded at any n the guard
+allows. It reads only the clauses, never a gate list.
 """
 
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -16,6 +22,10 @@ import numpy as np
 from .config import DEFAULT_MAX_ENUM_VARS, GuardExceeded
 
 Assignment = tuple[int, ...]
+
+# Variables held as planes within one chunk of assignments; the rest are
+# constant per chunk. 2^20 bits is a 128 KiB int per plane.
+CHUNK_VARS = 20
 
 
 class DimacsError(ValueError):
@@ -125,6 +135,13 @@ def _with_size_warning(inst: SatInstance) -> SatInstance:
     return inst
 
 
+# Every character that ``str.split`` or ``str.splitlines`` breaks at, other
+# than the space, the tab and the line feed that DIMACS uses; none of them is
+# printable. Listed, not written as ``[^\S \t\n]``, which scans at half the
+# speed, and compiled on first use by ``re``'s own cache, not at import.
+_ODD_SPACE = r"[\x0b\x0c\r\x1c-\x1f\x85\xa0\u1680\u2000-\u200a\u2028\u2029\u202f\u205f\u3000]"
+
+
 def _plain_ints(text: str) -> bool:
     """Whether ``int`` reads the integers in ``text`` as DIMACS writes them,
     an optional sign and ASCII digits: it would also read ``1_0`` as 10 and
@@ -136,22 +153,32 @@ def parse_dimacs(text: str) -> SatInstance:
     """Parse DIMACS CNF. Strict: every integer is an optional sign and ASCII
     digits, and the header's counts must match the body.
 
-    A line holding only ``%`` ends the clause data, as in the SATLIB
-    benchmark files, which close with a ``%`` line and a lone ``0``.
+    Lines end only at ``\\n`` (one ``\\r`` before it is dropped), and header
+    and clause tokens are separated only by spaces and tabs; any other
+    whitespace outside a comment line is an error. A line holding only
+    ``%`` ends the clause data, as in the SATLIB benchmark files, which
+    close with a ``%`` line and a lone ``0``.
     """
     num_vars: int | None = None
     declared_clauses: int | None = None
     clauses: list[list[int]] = []
     current: list[int] = []
     current_line = None
+    plain = _plain_ints(text)  # else each line is checked
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        line = raw.strip(" \t")
+        if not line or line[0] == "c":
             continue
+        if not line.isprintable():  # a tab, a \r, or a character to look for
+            line = (raw[:-1] if raw.endswith("\r") else raw).strip(" \t")
+            if odd := re.search(_ODD_SPACE, line):
+                raise DimacsError(f"separator {odd[0]!r} is not a space or a tab", lineno)
+            if not line:
+                continue
         if line == "%":
             break
-        if line.startswith("p"):
+        if line[0] == "p":
             if num_vars is not None:
                 raise DimacsError("duplicate problem header", lineno)
             parts = line.split()
@@ -168,7 +195,7 @@ def parse_dimacs(text: str) -> SatInstance:
             continue
         if num_vars is None:
             raise DimacsError(f"clause data before 'p cnf' header: {line!r}", lineno)
-        if not _plain_ints(line):  # one test per line; find the token only on failure
+        if not plain and not _plain_ints(line):  # find the token only on failure
             for token in line.split():
                 if not _plain_ints(token):
                     raise DimacsError(f"non-integer token {token!r}", lineno)
@@ -251,17 +278,18 @@ def _check_enum_guard(num_vars: int) -> None:
         )
 
 
-def _satisfied_chunks(inst: SatInstance):
-    """Yield (indices, satisfied mask) over all 2^n assignments, in bounded chunks.
+def satisfying_indices(inst: SatInstance) -> np.ndarray:
+    """Indices (= assignments as integers) that satisfy the instance.
 
-    Vectorized over clause bitmasks. This path is deliberately independent of
-    eval_clause/eval_instance: it is the second oracle the clause-wise
-    evaluator is checked against.
+    Vectorized over clause bitmasks with numpy, one chunk of assignments at
+    a time. This path is deliberately independent of eval_clause and of
+    count_models' planes: it is the reference both are checked against.
     """
     n = inst.num_vars
     _check_enum_guard(n)
     masks = [c.masks() for c in inst.clauses]
-    chunk = 1 << min(n, 20)
+    chunk = 1 << min(n, CHUNK_VARS)
+    found = []
     for start in range(0, 1 << n, chunk):
         a = np.arange(start, start + chunk, dtype=np.uint64)
         sat = np.ones(a.shape, dtype=bool)
@@ -270,20 +298,82 @@ def _satisfied_chunks(inst: SatInstance):
             if neg:
                 clause_sat |= (~a & np.uint64(neg)) != 0
             sat &= clause_sat
-        yield a, sat
+        found.append(a[sat])
+    return np.concatenate(found)
 
 
-def satisfying_indices(inst: SatInstance) -> np.ndarray:
-    """Indices (= assignments as integers) that satisfy the instance."""
-    return np.concatenate([a[sat] for a, sat in _satisfied_chunks(inst)])
+def _variable_planes(num_vars: int) -> list[int]:
+    """Plane of each variable over all 2^num_vars assignments.
+
+    planes[k-1] is an int whose bit i is (i >> (k-1)) & 1, the value of
+    variable k under assignment i, built as one repeated byte pattern.
+    """
+    size = 1 << num_vars
+    nbytes = max(size >> 3, 1)
+    planes = []
+    for k in range(num_vars):
+        half = 1 << k
+        if half < 8:
+            pattern = (b"\xaa", b"\xcc", b"\xf0")[k]
+        else:
+            pattern = bytes(half >> 3) + b"\xff" * (half >> 3)
+        plane = int.from_bytes(pattern * (nbytes // len(pattern)), "little")
+        planes.append(plane & ((1 << size) - 1) if size < 8 else plane)
+    return planes
 
 
 def count_models(inst: SatInstance) -> int:
-    """Number r of satisfying assignments, by exhaustive bit-mask enumeration.
+    """Number r of satisfying assignments, by exhaustive bit-plane enumeration.
 
-    Counts chunk by chunk, so memory stays bounded however many models there are.
+    Variables 1..c, c = min(n, CHUNK_VARS), are planes over one chunk of
+    2^c assignments; each clause is the OR of its literal planes, and the
+    chunk's models are the popcount of the AND of the clauses. A variable
+    above c is constant within a chunk, so a literal on it either satisfies
+    its clause there or drops out of it. Clauses on variables 1..c alone are
+    ANDed once and shared by every chunk. Memory stays bounded at about 2c
+    planes of 2^c bits, however many variables, clauses or models there are.
     """
-    return sum(int(np.count_nonzero(sat)) for _, sat in _satisfied_chunks(inst))
+    n = inst.num_vars
+    _check_enum_guard(n)
+    low = min(n, CHUNK_VARS)
+    ones = _variable_planes(low)
+    full = (1 << (1 << low)) - 1
+    literal_planes = (ones, [full ^ plane for plane in ones])
+    shared = full
+    split = []  # (low literal planes, high positive mask, high negative mask)
+    for clause in inst.clauses:
+        planes = []
+        high_pos = high_neg = 0
+        for lit in clause.literals:
+            if lit.variable <= low:
+                planes.append(literal_planes[lit.negated][lit.variable - 1])
+            elif lit.negated:
+                high_neg |= 1 << (lit.variable - 1 - low)
+            else:
+                high_pos |= 1 << (lit.variable - 1 - low)
+        if high_pos or high_neg:
+            split.append((planes, high_pos, high_neg))
+            continue
+        clause_plane = 0
+        for plane in planes:
+            clause_plane |= plane
+        shared &= clause_plane
+        if not shared:
+            return 0
+    count = 0
+    for chunk in range(1 << (n - low)):
+        satisfied = shared
+        for planes, high_pos, high_neg in split:
+            if chunk & high_pos or ~chunk & high_neg:
+                continue  # a constant literal satisfies the clause in this chunk
+            clause_plane = 0
+            for plane in planes:
+                clause_plane |= plane
+            satisfied &= clause_plane
+            if not satisfied:
+                break
+        count += satisfied.bit_count()
+    return count
 
 
 def count_models_clausewise(inst: SatInstance) -> int:

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,7 +14,7 @@ from satchaos.circuit import (
     sat_decision_exact,
 )
 from satchaos.config import GuardExceeded
-from satchaos.gates import GateKind, hadamard_layer, placed
+from satchaos.gates import GateKind, decompose, hadamard_layer, placed
 from satchaos.quantum import apply_sequence, basis_state, probability_qubit_one
 from satchaos.sat import count_models, instance_from_ints, parse_dimacs
 from satchaos.verify import DEFAULT_SEED, EDGE_INSTANCES, random_instance
@@ -136,6 +137,20 @@ def test_bit_planes_match_dense_engine_on_every_qubit():
             assert abs(plane.bit_count() / (1 << inst.num_vars) - expected) < 1e-12, (inst, k)
 
 
+def test_bit_planes_run_the_decomposed_basis():
+    """CN and CCN, which build_circuit never emits, flip their targets like
+    the COPY, AND and OR gates they rewrite."""
+    rng = random.Random(DEFAULT_SEED)
+    for inst in [random_instance(rng) for _ in range(30)] + [WORKED]:
+        lay = layout(inst)
+        gates = build_circuit(inst, lay)
+        basis = tuple(g for gate in gates for g in decompose(gate))
+        assert {g.kind for g in basis} <= {GateKind.H, GateKind.NOT, GateKind.CN, GateKind.CCN}
+        assert bit_planes(basis, inst.num_vars, lay.total_qubits) == bit_planes(
+            gates, inst.num_vars, lay.total_qubits
+        )
+
+
 # Duplicate and opposed literals within a clause are allowed.
 cnfs = st.integers(1, 12).flatmap(
     lambda n: st.tuples(
@@ -169,3 +184,19 @@ def test_bit_planes_refuse_non_permutation_gate_lists():
         bit_planes(gates[1:], n, total)
     with pytest.raises(ValueError, match="open with H"):  # too few gates for the layer
         bit_planes(hadamard_layer(total, n - 1), n, total)
+    with pytest.raises(ValueError, match="open with H"):  # layer out of order
+        bit_planes((gates[1], gates[0]) + gates[2:], n, total)
+    with pytest.raises(ValueError, match="open with H"):  # non-H gate inside the layer
+        bit_planes(gates[:1] + (placed(GateKind.NOT, 2),) + gates[2:], n, total)
+
+
+def test_gate_tally_counts_every_kind_in_order():
+    gates = [placed(GateKind.H, 1), placed(GateKind.NOT, 2), placed(GateKind.CN, 1, 2),
+             placed(GateKind.CCN, 1, 2, 3), placed(GateKind.AND, 1, 2, 3),
+             placed(GateKind.OR, 1, 2, 3), placed(GateKind.COPY, 1, 2),
+             placed(GateKind.NOT, 1), placed(GateKind.OR, 2, 3, 4)]
+    for some in (gates, gates[1:3], []):
+        tally = gate_tally(some)
+        counts = Counter(g.kind.value for g in some)
+        assert list(tally) == [kind.value for kind in GateKind]
+        assert tally == {kind.value: counts[kind.value] for kind in GateKind}

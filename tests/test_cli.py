@@ -103,6 +103,57 @@ def test_deterministic_output_is_byte_identical(worked_path, capsys):
     assert json.loads(first)["timings"] is None
 
 
+WORKED_REPORT = """\
+{
+  "amplifier": {
+    "a": 3.71,
+    "decision": "SAT",
+    "iterations": 1,
+    "k_high": 2,
+    "k_low": 0,
+    "k_star": 1,
+    "threshold": 0.5
+  },
+  "backend": "circuit",
+  "decision": "SAT",
+  "gate_counts": {
+    "AND": 2,
+    "CCN": 0,
+    "CN": 0,
+    "COPY": 0,
+    "H": 3,
+    "NOT": 8,
+    "OR": 5
+  },
+  "layout": {
+    "mu": 6,
+    "s": [
+      4,
+      6,
+      8
+    ],
+    "s_f": 10,
+    "single_clause": false,
+    "total_qubits": 10
+  },
+  "m": 3,
+  "machine": null,
+  "n": 3,
+  "q_squared": 0.5,
+  "r_oracle": 4,
+  "timings": null,
+  "warnings": []
+}
+"""
+
+
+def test_deterministic_report_bytes_are_pinned(worked_path, capsys):
+    """The report's bytes are part of the CLI's contract: keys sorted, two
+    spaces of indent, one trailing newline."""
+    assert main(["solve", worked_path, "--deterministic"]) == EXIT_OK
+    assert capsys.readouterr().out == WORKED_REPORT
+
+
 # --- trace -------------------------------------------------------------------
 
 def test_trace_worked_example(worked_path, capsys):

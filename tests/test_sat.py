@@ -1,6 +1,10 @@
+import random
+import re
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import satchaos.sat
 from satchaos.config import GuardExceeded
 from satchaos.sat import (
     Clause,
@@ -68,6 +72,49 @@ def test_parse_reads_only_a_sign_and_ascii_digits():
         assert err.value.line == 2
         with pytest.raises(DimacsError, match="non-integer counts"):
             parse_dimacs(f"p cnf {token} 1\n1 0\n")
+
+
+# Every character other than the space, the tab and the line feed at which
+# str.split or str.splitlines would break a DIMACS line.
+ODD_SPACES = [c for c in map(chr, range(0x3001)) if c.isspace() and c not in " \t\n"]
+
+
+def test_odd_spaces_are_every_other_unicode_space():
+    every = "".join(map(chr, range(0x110000)))
+    assert ODD_SPACES == [c for c in every if c.isspace() and c not in " \t\n"]
+    assert re.findall(satchaos.sat._ODD_SPACE, every) == ODD_SPACES
+    assert not any(c.isprintable() for c in ODD_SPACES)
+    for c in "\x0b\x0c\x1c\x1d\x1e\x1f\x85\xa0\u2028\u3000":
+        assert c in ODD_SPACES
+
+
+@pytest.mark.parametrize("sep", ODD_SPACES, ids=lambda c: f"U+{ord(c):04X}")
+def test_parse_separates_tokens_only_by_space_and_tab(sep):
+    """str.split would read "1<sep>-2 0" as the clause (x1, ¬x2)."""
+    cases = [
+        (f"p cnf 2 1\n1{sep}-2 0\n", 2),
+        (f"p{sep}cnf 2 1\n1 0\n", 1),
+        (f"p cnf 2 2\n1 0{sep}2 0\n", 2),
+    ]
+    if sep != "\r":  # one \r before the line feed is dropped
+        cases += [(f"p cnf 2 1\n1 -2 0{sep}\n", 2), (f"p cnf 2 1\n{sep}\n1 0\n", 2)]
+    for text, line in cases:
+        with pytest.raises(DimacsError, match="is not a space or a tab") as err:
+            parse_dimacs(text)
+        assert err.value.line == line
+    # A comment is free text: nothing in it starts a line or a clause.
+    assert parse_dimacs(f"c note{sep}1 0\np cnf 1 1\n1 0\n").num_clauses == 1
+
+
+def test_parse_lines_end_only_at_line_feed():
+    crlf = parse_dimacs("p cnf 2 1\r\n1 -2 0\r\n")
+    assert crlf == parse_dimacs("p cnf 2 1\n1 -2 0\n")
+    assert parse_dimacs("p cnf\t2 1\n\t1\t-2 0\t\r\n") == crlf
+    assert parse_dimacs("p cnf 2 1\n1 -2 0\r") == crlf
+    for text, line in [("p cnf 2 1\n1 -2 0\r\r\n", 2), ("p cnf 2 2\r1 0\n2 0\n", 1)]:
+        with pytest.raises(DimacsError, match="'\\\\r' is not a space or a tab") as err:
+            parse_dimacs(text)
+        assert err.value.line == line
 
 
 SATLIB_TRAILER = "p cnf 2 1\n1 -2 0\n%\n0\n"
@@ -145,12 +192,50 @@ def test_assignment_indexing_is_bit_k_minus_1():
         assignment_from_index(2, 4)
 
 
-def test_enumeration_guard():
+def test_enumeration_guard(monkeypatch):
+    def unreachable(num_vars):
+        raise AssertionError("the guard must refuse before building planes")
+
+    monkeypatch.setattr(satchaos.sat, "_variable_planes", unreachable)
     inst = instance_from_ints(31, [[1, 2]])
     with pytest.raises(GuardExceeded):
         count_models(inst)
     with pytest.raises(GuardExceeded):
         count_models_clausewise(inst)
+
+
+def _wide_instance(rng, n):
+    """A unit clause and mixed clauses on the variables above the chunk of
+    2^CHUNK_VARS assignments, and clauses on low variables alone."""
+    chunk_vars = satchaos.sat.CHUNK_VARS
+    high = list(range(chunk_vars + 1, n + 1))
+    signed = lambda v: v if rng.random() < 0.5 else -v
+    clauses = [[signed(rng.choice(high))]]
+    for _ in range(rng.randint(3, 6)):
+        chosen = rng.sample(high, rng.randint(1, len(high)))
+        chosen += rng.sample(range(1, chunk_vars + 1), rng.randint(1, 2))
+        clauses.append([signed(v) for v in rng.sample(chosen, len(chosen))])
+    for _ in range(rng.randint(1, 4)):
+        clauses.append([signed(v) for v in rng.sample(range(1, 8), 3)])
+    return instance_from_ints(n, clauses)
+
+
+@pytest.mark.parametrize("n", [21, 22])
+def test_count_models_across_chunks(n):
+    """Against numpy's independent count, with literals of both signs on
+    the variables that are constant within each chunk."""
+    rng = random.Random(n)
+    for _ in range(3):
+        inst = _wide_instance(rng, n)
+        assert count_models(inst) == len(satisfying_indices(inst)), to_dimacs(inst)
+
+
+def test_count_models_constant_variable_contradiction():
+    """UNSAT only through x21 ∧ ¬x21, a variable constant within each chunk."""
+    satisfiable = instance_from_ints(21, [[1, 2, 3], [-4, 5], [21], [20, -1]])
+    assert count_models(satisfiable) == len(satisfying_indices(satisfiable)) > 0
+    unsat = instance_from_ints(21, [[1, 2, 3], [-4, 5], [21], [-21], [20, -1]])
+    assert count_models(unsat) == 0
 
 
 def test_regime_warning_attached():
@@ -201,7 +286,8 @@ def test_satisfying_indices_match_eval(data):
 # lines with such a line after them, so that a good share of inputs parse.
 dimacs_tokens = st.sampled_from(
     ["p", "cnf", "c", "%", "0", "-0", "00", "1", "-1", "+2", "2", "-2", "3", "-3",
-     "5", "4294967296", "x", "1.5", "\t", "p cnf 2 1", "p cnf 0 0", "1_0", "٣", "１"]
+     "5", "4294967296", "x", "1.5", "\t", "p cnf 2 1", "p cnf 0 0", "1_0", "٣", "１",
+     "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\xa0", "\u2028", "\u3000"]
 )
 dimacs_lines = st.lists(dimacs_tokens, max_size=6).map(" ".join)
 clause_lines = st.lists(st.sampled_from([1, -1, 2, -2, 3, -3]), min_size=1, max_size=3).map(
