@@ -42,6 +42,19 @@ def _parse_range(text: str) -> tuple[int, int]:
     return bounds
 
 
+def _int_at_least(lo: int):
+    """An argparse type: an int no smaller than ``lo``."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < lo:
+            raise argparse.ArgumentTypeError(f"must be at least {lo}, got {value}")
+        return value
+    return parse
+
+
 class _Parser(argparse.ArgumentParser):
     """Usage errors exit with EXIT_INPUT; argparse's own 2 is the guard-refusal code."""
 
@@ -81,9 +94,9 @@ def build_parser() -> argparse.ArgumentParser:
     verify = commands.add_parser("verify", help="run a verification suite")
     verify.add_argument("suite", choices=sorted(SUITES) + ["all"])
     verify.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    verify.add_argument("--count", type=int, default=100,
+    verify.add_argument("--count", type=_int_at_least(0), default=100,
                         help="random instances for the oracle suite")
-    verify.add_argument("--max-n", type=int, default=10,
+    verify.add_argument("--max-n", type=_int_at_least(1), default=10,
                         help="largest variable count for random instances")
     verify.add_argument("--n", type=_parse_range, default=(2, 40), metavar="LO..HI",
                         help="variable range for the bounds suite")

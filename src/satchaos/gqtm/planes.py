@@ -14,8 +14,8 @@ branch shares.
   (:func:`canonical_cell`), so both lanes leave equal planes, and a cell
   that every branch shares (all of track 0, every cell of a one-branch
   run) costs no mask, no copy at a fork and no mask compare on a read.
-  :meth:`Planes.cell` reads either form as ``{symbol: mask}``; no module
-  but this one tells the two apart.
+  :meth:`Planes.cell` reads either form as ``{symbol: mask}``; a reader
+  that only needs a shared symbol may take a bare ``str`` as it is.
 - Groups map a state to the mask of the branches in that state.
 - The sign plane marks the branches whose amplitude is negative. After k
   forks every branch has magnitude 2^(-k/2), so amplitudes need no floats.
@@ -27,20 +27,25 @@ Hadamard rows of ``dft``) doubles the index space: the first target writes
 into the lower copy of the branches, the second into the upper one.
 
 Most steps need no split. Every branch shares the head vector, so a step
-in which every branch takes the same rule is one update of the whole mask,
-whatever symbols the branches read. While one group holds every branch,
-:meth:`Planes.run_phase` reads each cell under the heads as a blank, one
-symbol on every branch, or the tuple of its symbols, plus a blank when they
-leave some branch out. If every key in the product of those options has one
-target, the same :class:`~.machine.Rule` for all of them, of amplitude ±1,
-it applies that rule to the whole mask: a sign flip, the bare symbol in
-each written cell, one head shift. The product holds every key some branch
-reads, and maybe keys none reads, so it can send a step to the split when
-it need not, but never merges a step wrongly. So replays, the detection
-loop, ``setup``, ``erase`` and most of ``or_eval`` step without a split;
-the forks of ``dft``, the ``or_eval`` writes that depend on the bits read,
-``and_eval`` once the clause bits part the states, and ``handoff`` split.
-The split is :meth:`Planes.step`, which raises whatever the planes refuse.
+in which every branch goes to one state with one head shift is one update
+of the whole mask, whatever symbols the branches read: the lockstep normal
+form of Bernstein and Vazirani's well-behaved machines. While one group
+holds every branch, :meth:`Planes.run_phase` reads each cell under the
+heads as a blank, one symbol on every branch, or the tuple of its symbols,
+plus a blank when they leave some branch out. If every key in the product
+of those options has one target of amplitude ±1, and all of them share one
+next state and one head shift, it applies that step to the whole mask. A
+written cell on which every key leaves one symbol takes the bare symbol,
+and a sign that every key flips flips on the whole mask. Where the keys
+differ, each key's write and sign flip go to the branches that read it:
+the AND of its symbols' masks, a blank being the mask less the cell's
+symbols, and each written cell is rebuilt once. The product holds every
+key some branch reads, and maybe keys none reads, so it can send a step to
+the split when it need not, but never merges a step wrongly. So replays,
+batched or one at a time, the detection loop, ``setup``, ``or_eval`` and
+``erase`` step without a split; the forks of ``dft``, ``and_eval`` once the
+clause bits part the states, and ``handoff`` split. The split is
+:meth:`Planes.step`, which raises whatever the planes refuse.
 A merged step leaves the mask as it was, so a cell under a head that did not
 move and that the rule did not write reads as before. The next step
 therefore re-reads only the cells of the read tracks whose head the last
@@ -97,12 +102,18 @@ Rows = dict[tuple[str, tuple[str, ...]], tuple[Row, ...]]
 #: cover every branch.
 Option = str | tuple[str, ...]
 
-#: One rule applied to the whole mask: (amplitude is -1, next state, the
-#: writes that change a cell, the head moves as in :data:`Row`, and the
-#: ``(key index, track)`` of each read track whose cell the step changes
-#: under the heads: its head moves, or the rule writes it).
+#: What one key of a merged step does to the branches that read it: the
+#: ``(track, symbol)`` the key reads in each cell whose option is a tuple,
+#: whether those branches flip their sign, and their writes to the cells
+#: that :data:`Merged` does not write whole.
+Part = tuple[tuple[tuple[int, str], ...], bool, tuple[tuple[int, str], ...]]
+#: A step applied to the whole mask: (every branch flips its sign, next
+#: state, the writes of one symbol on every branch, the head moves as in
+#: :data:`Row`, the ``(key index, track)`` of each read track whose cell the
+#: step changes under the heads, as its head moves or some key writes it,
+#: and the :data:`Part` of each key that flips or writes only its branches).
 Merged = tuple[bool, str, tuple[tuple[int, str], ...], tuple[tuple[int, int], ...],
-               tuple[tuple[int, int], ...]]
+               tuple[tuple[int, int], ...], tuple[Part, ...]]
 #: Merge verdicts keyed by ``(state, *options)``, one option per read track.
 Verdicts = dict[tuple[Option, ...], Merged | None]
 
@@ -141,27 +152,55 @@ def _compiled(delta: TransitionFunction) -> tuple[Rows, Verdicts]:
 
 def _merge(delta: TransitionFunction, state: str,
            options: tuple[Option, ...]) -> Merged | None:
-    """The one rule that every key in the product of ``options`` takes, or
-    ``None`` unless each such key has exactly one target, all of them the
-    same :class:`Rule`, with amplitude ±1."""
-    taken = None
-    for syms in product(*((o,) if isinstance(o, str) else o for o in options)):
+    """The step that every key in the product of ``options`` takes, or
+    ``None`` unless each such key has exactly one target, of amplitude ±1,
+    and all of them share one next state and one head shift.
+
+    The symbol written and the sign may depend on the key. A written track
+    on which every key leaves one symbol (its write, or the symbol it reads
+    there and does not overwrite) takes that symbol on every branch, and
+    needs nothing when every branch already holds it. Each other written
+    track, and the sign when only some keys flip it, go to the :data:`Part`
+    of each key, which applies them to the branches reading that key. Those
+    writes drop a symbol the key already reads, as :func:`_row` does."""
+    read_tracks = delta.read_tracks
+    keys = []
+    for syms in product(*((o,) if o.__class__ is str else o for o in options)):
         targets = delta.rules.get((state, syms))
         if targets is None or len(targets) != 1:
             return None
-        if taken is None:
-            taken = targets[0]
-        elif targets[0] != taken:
+        amp = complex(targets[0].amplitude)
+        if amp != 1 and amp != -1:
             return None
-    amp = complex(taken.amplitude)
-    if amp != 1 and amp != -1:
-        return None
-    read = dict(zip(delta.read_tracks, options))
-    writes = tuple((t, sym) for t, sym in taken.writes if read.get(t) != sym)
-    moves = _moves(taken)
-    touched = {t for t, _ in writes} | {t for t, _ in moves}
-    reread = tuple((i, t) for i, t in enumerate(delta.read_tracks, 1) if t in touched)
-    return amp == -1, taken.next_state, writes, moves, reread
+        keys.append((dict(zip(read_tracks, syms)), targets[0], amp == -1))
+    first = keys[0][1]
+    moves = _moves(first)
+    for _, r, _ in keys:
+        if r.next_state != first.next_state or (r is not first and _moves(r) != moves):
+            return None
+    flips = {flip for _, _, flip in keys}
+    shared = dict(zip(read_tracks, options))
+    writes = []
+    apart = set()
+    for t in sorted({t for _, r, _ in keys for t, _ in r.writes}):
+        left = {dict(r.writes).get(t, read.get(t)) for read, r, _ in keys}
+        if len(left) != 1 or None in left:
+            apart.add(t)
+        else:
+            [sym] = left
+            if shared.get(t) != sym:
+                writes.append((t, sym))
+    parts = []
+    for read, r, flip in keys:
+        flip = flip and len(flips) == 2
+        own = tuple((t, sym) for t, sym in r.writes if t in apart and read.get(t) != sym)
+        if flip or own:
+            picks = tuple((t, read[t]) for t in read_tracks if shared[t].__class__ is not str)
+            parts.append((picks, flip, own))
+    touched = {t for t, _ in writes} | {t for _, _, own in parts for t, _ in own}
+    touched |= {t for t, _ in moves}
+    reread = tuple((i, t) for i, t in enumerate(read_tracks, 1) if t in touched)
+    return flips == {True}, first.next_state, tuple(writes), moves, reread, tuple(parts)
 
 
 def canonical_cell(cell: dict[str, Mask], full: Mask) -> Cell:
@@ -253,21 +292,52 @@ class Planes:
         self.width *= 2
         self.forks += 1
 
-    def _write(self, m: Mask, writes) -> None:
-        """Apply one row's writes to the branches of ``m``."""
-        tracks, heads = self.tracks, self.heads
-        full = (1 << self.width) - 1
-        for track, sym in writes:
-            cells = tracks[track]
-            pos = heads[track]
-            kept = {s: sm & ~m for s, sm in self.cell(track, pos).items()}
+    def _rewrite(self, track: int, pos: int, into: dict[str, Mask]) -> None:
+        """Give the branches of each mask in ``into`` its symbol at ``pos`` of
+        ``track`` (a blank erases it); every other branch keeps its own."""
+        moved = reduce(or_, into.values())
+        kept = {s: sm & ~moved for s, sm in self.cell(track, pos).items()}
+        for sym, m in into.items():
             if sym != BLANK:
                 kept[sym] = kept.get(sym, 0) | m
-            cell = canonical_cell(kept, full)
-            if cell:
-                cells[pos] = cell
-            else:
-                cells.pop(pos, None)
+        cell = canonical_cell(kept, (1 << self.width) - 1)
+        if cell:
+            self.tracks[track][pos] = cell
+        else:
+            self.tracks[track].pop(pos, None)
+
+    def _write(self, m: Mask, writes) -> None:
+        """Apply one row's writes to the branches of ``m``."""
+        for track, sym in writes:
+            self._rewrite(track, self.heads[track], {sym: m})
+
+    def _write_parts(self, heads: list[int], mask: Mask, sign: Mask,
+                     parts: tuple[Part, ...]) -> Mask:
+        """Apply each :data:`Part` of a merged step to the branches that read
+        its key, under ``heads``, and return the new sign plane. ``mask``
+        holds every branch. Every key's branches are found before any cell
+        changes, and each written cell is rebuilt once."""
+        tracks = self.tracks
+        written: dict[int, dict[str, Mask]] = {}
+        for picks, flip, own in parts:
+            m = mask
+            for t, sym in picks:  # each such cell is a dict: its option is a tuple
+                cell = tracks[t][heads[t]]
+                if sym == BLANK:
+                    for sm in cell.values():
+                        m &= ~sm
+                else:
+                    m &= cell[sym]
+            if not m:
+                continue
+            if flip:
+                sign ^= m
+            for t, sym in own:
+                into = written.setdefault(t, {})
+                into[sym] = into.get(sym, 0) | m
+        for t, into in written.items():
+            self._rewrite(t, heads[t], into)
+        return sign
 
     def step(self, delta: TransitionFunction, finals: frozenset[str]) -> bool:
         """One application of δ to every branch not in a final state, in place.
@@ -376,21 +446,26 @@ class Planes:
 
         While one group of every branch runs, the step holds the verdict key
         ``[state, *options]``, one :data:`Option` per cell under the heads.
-        When every key in the product of those options takes the same
-        one-target :class:`~.machine.Rule` of amplitude ±1, that rule is
-        applied to the whole mask, in a loop that holds the state, mask and
-        heads in locals and writes bare symbols. The product holds
-        every key a branch reads, and maybe more, so such a step ends where
-        the split would end. The mask does not change in that loop, so a
-        cell that no head left and no write changed reads as before: the
-        next step sets the new state and re-reads only the cells of the
-        verdict's touched tracks. Any other step goes to the split of
-        :meth:`step`, which reads every cell afresh and raises whatever the
-        planes refuse. Both lanes stop with ``RuntimeError`` before step
-        ``MAX_PHASE_STEPS + 1``.
+        When every key in the product of those options has one target of
+        amplitude ±1, and all of them share one next state and one head
+        shift (:func:`_merge`), the step is applied to the whole mask, in a
+        loop that holds the state, mask and heads in locals: writes that
+        every key shares put the bare symbol, and the writes and sign flips
+        that differ between keys go to each key's branches
+        (:meth:`_write_parts`). The product holds every key a branch reads,
+        and maybe more, so such a step ends where the split would end. The
+        mask does not change in that loop, so a cell that no head left and
+        no write changed reads as before: the next step sets the new state
+        and re-reads only the cells of the verdict's touched tracks. Any
+        other step goes to the split of :meth:`step`, which reads every cell
+        afresh and raises whatever the planes refuse. Both lanes stop with
+        ``RuntimeError`` before step ``MAX_PHASE_STEPS + 1``.
         """
         state = phase.entry
-        mask = reduce(or_, self.groups.values(), 0)
+        if len(self.groups) == 1:
+            [mask] = self.groups.values()
+        else:
+            mask = reduce(or_, self.groups.values(), 0)
         self.groups = {state: mask}
         # Whether the groups hold every branch: a step keeps each branch in
         # some group, and a fork doubles the groups and the width alike, so
@@ -432,8 +507,10 @@ class Planes:
                         merged = verdicts[verdict] = _merge(delta, state, verdict[1:])
                     if merged is None:
                         break
-                    flip, state, writes, shift, reread = merged
+                    flip, state, writes, shift, reread, parts = merged
                     key[0] = state
+                    if parts:  # before the writes below change a cell it reads
+                        sign = self._write_parts(heads, mask, sign, parts)
                     if flip:
                         sign ^= mask
                     for t, sym in writes:
@@ -464,12 +541,24 @@ class Planes:
                 on_step(self, self.mass(halted))
         return steps
 
+    def symbols(self, track: int, i: int) -> dict[int, str]:
+        """Track ``track`` of branch ``i`` as ``{position: symbol}``, its
+        blanks left out."""
+        bit = 1 << i
+        held = {}
+        for pos, cell in self.tracks[track].items():
+            if cell.__class__ is str:
+                held[pos] = cell
+            else:
+                for sym, sm in cell.items():
+                    if sm & bit:
+                        held[pos] = sym
+                        break
+        return held
+
     def branch(self, i: int) -> Configuration:
         """Branch ``i`` read back as a configuration."""
         bit = 1 << i
         state = next(s for s, m in self.groups.items() if m & bit)
-        tracks = [
-            {pos: sym for pos in cells for sym, sm in self.cell(t, pos).items() if sm & bit}
-            for t, cells in enumerate(self.tracks)
-        ]
+        tracks = [self.symbols(t, i) for t in range(len(self.tracks))]
         return make_configuration(state, tracks, self.heads)

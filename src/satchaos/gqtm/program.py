@@ -77,14 +77,16 @@ def encode_sat_input(inst: SatInstance) -> tuple[str, ...]:
     ε_k = 1 iff variable k occurs positively, ε̄_k = 1 iff it occurs negated;
     duplicates inside a clause collapse (they cannot change the disjunction).
     """
-    bits = f"0{inst.num_vars}b"  # n digits; reversed, digit k-1 is mask bit k-1
+    # bin(mask | top) is "0b1" and then the n mask digits, high bit first;
+    # [:2:-1] reverses those digits, so digit k-1 is mask bit k-1.
+    top = 1 << inst.num_vars
     symbols: list[str] = ["0"] * inst.num_vars + ["X"]
     for clause in inst.clauses:
         pos, neg = clause.masks()
         symbols.append("C_S")
-        symbols.extend(format(pos, bits)[::-1])
+        symbols.extend(bin(pos | top)[:2:-1])
         symbols.append("Y")
-        symbols.extend(format(neg, bits)[::-1])
+        symbols.extend(bin(neg | top)[:2:-1])
         symbols.append("C_E")
     return tuple(symbols)
 
@@ -416,9 +418,9 @@ def collapse(planes: Planes, machine: SatMachine) -> tuple[Mask, Mask]:
         )
     planes.run_phase(handoff)
     split = sorted(
-        pos for pos in planes.tracks[3]
-        if any(sm & g not in (0, g)
-               for sm in planes.cell(3, pos).values() for g in planes.groups.values())
+        pos for pos, cell in planes.tracks[3].items()
+        if cell.__class__ is not str  # a bare symbol reads the same on every branch
+        and any(sm & g not in (0, g) for sm in cell.values() for g in planes.groups.values())
     )
     if split:
         raise RuntimeError(
@@ -426,6 +428,17 @@ def collapse(planes: Planes, machine: SatMachine) -> tuple[Mask, Mask]:
             f"configurations must be one per result bit"
         )
     return planes.groups.get("accept", 0), planes.groups.get("loop_idle", 0)
+
+
+def _counter_planes(planes: Planes, idle: Mask) -> Planes:
+    """The detection loop's one branch: the lowest branch of ``idle``, the
+    waiting branches that :func:`collapse` returns, read off track 3 alone.
+
+    The collapse has blanked tracks 0-2 and left every waiting branch the
+    same track 3, so this equals ``Planes.from_configuration`` of that
+    branch, without reading it back as a configuration."""
+    track3 = planes.symbols(3, (idle & -idle).bit_length() - 1)
+    return Planes(1, planes.heads, {"loop_idle": 1}, [{}, {}, {}, track3])
 
 
 def run_sat_gqtm(inst: SatInstance, params: LogisticParams = LogisticParams(), *,
@@ -499,9 +512,7 @@ def run_sat_gqtm(inst: SatInstance, params: LogisticParams = LogisticParams(), *
         raise ArithmeticError(f"result weight {w1_raw!r} is not a multiple of 2^-{n}")
     bounds = k_bounds(n, r_estimate, params.a) if r_estimate >= 1 else None
 
-    loop = None
-    if idle:  # the counter runs on one waiting branch
-        loop = Planes.from_configuration(planes.branch((idle & -idle).bit_length() - 1))
+    loop = _counter_planes(planes, idle) if idle else None
     xs = [q_squared]
     w1 = q_squared
     k = 0
@@ -546,10 +557,13 @@ def run_classical_branches(inst: SatInstance, assignments
     width = 0
     for bits in assignments:
         bits = tuple(bits)
-        if len(bits) != n or any(b not in (0, 1) for b in bits):  # 0.9 is no bit
+        if len(bits) != n:
             raise ValueError(f"need {n} bits in {{0,1}}, got {bits!r}")
         for k, b in enumerate(bits):
-            ones[k] |= int(b) << width
+            if b not in (0, 1):  # 0.9 is no bit
+                raise ValueError(f"need {n} bits in {{0,1}}, got {bits!r}")
+            if b:
+                ones[k] |= 1 << width
         width += 1
     if not width:
         return []
@@ -562,13 +576,18 @@ def run_classical_branches(inst: SatInstance, assignments
     planes.run_phase(AND_EVAL)
     result = _bit_plane(planes, 3, 0, AND_EVAL)
     return [
-        (tuple(p >> i & 1 for p in clause_planes), result >> i & 1)
+        (tuple([p >> i & 1 for p in clause_planes]), result >> i & 1)
         for i in range(width)
     ]
 
 
 def _bit_plane(planes: Planes, track: int, pos: int, phase: Phase) -> Mask:
     """The branches holding 1 in one cell, which must hold a bit on every branch."""
+    cell = planes.tracks[track].get(pos)
+    if cell == "1":  # a bare symbol: the bit of every branch
+        return (1 << planes.width) - 1
+    if cell == "0":
+        return 0
     cell = planes.cell(track, pos)
     covered = cell.get("0", 0) | cell.get("1", 0)
     if not cell.keys() <= _BITS or covered != (1 << planes.width) - 1:

@@ -316,6 +316,18 @@ def test_usage_errors_exit_input(argv, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag, value", [("--count", "-3"), ("--max-n", "0")])
+def test_verify_refuses_an_empty_oracle_range(flag, value, capsys):
+    """A negative count would run the edge instances alone and report OK;
+    no variable at all leaves no instance to draw."""
+    with pytest.raises(SystemExit) as excinfo:
+        main(["verify", "oracle", flag, value])
+    assert excinfo.value.code == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert f"error: argument {flag}: must be at least" in captured.err
+    assert "OK" not in captured.out
+
+
 def test_help_exits_ok(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["solve", "--help"])

@@ -41,6 +41,7 @@ from satchaos.gqtm.program import (
     OR_EVAL,
     UNITARY_STAGE,
     _bit_plane,
+    _counter_planes,
     collapse,
     encode_sat_input,
     initial_configuration,
@@ -659,6 +660,22 @@ def test_one_pass_collapse_matches_per_component_reference():
             assert abs(dict_pass[config] - reference[config]) <= 1e-12, inst
 
 
+@pytest.mark.parametrize("num_vars", range(1, 9))
+def test_counter_planes_are_the_lowest_waiting_branch(num_vars):
+    """The detection loop's planes, read off track 3, equal the lowest
+    waiting branch read back as a configuration."""
+    rng = random.Random(100 + num_vars)
+    for inst in [_random_instance(rng, num_vars) for _ in range(4)] + [
+        instance_from_ints(num_vars, [[1], [-1]]),  # every branch waits
+    ]:
+        machine, planes, _ = _planes_stage(inst)
+        _, idle = collapse(planes, machine)
+        if not idle:
+            continue
+        reference = Planes.from_configuration(planes.branch(_lowest(idle)))
+        assert _snapshot(_counter_planes(planes, idle)) == _snapshot(reference), inst
+
+
 def test_collapse_certifies_the_weights_sum_to_one():
     machine, planes, _ = _planes_stage(WORKED)
     accept, idle = collapse(planes, machine)
@@ -946,16 +963,92 @@ def test_shared_rows_carry_the_sign():
 
 
 def test_a_symbol_on_some_branches_splits_the_group(monkeypatch):
-    """Branch 0 reads "0" and branch 1 a blank, keys with different rules:
-    the step splits, and each branch takes its own row."""
+    """Branch 0 reads "0" and branch 1 a blank, keys whose rules go to
+    different states: the step splits, and each branch takes its own row."""
+    table = TransitionFunction("t", 1, (0,), (0,), {0: ("0", "1")})
+    table.add("s", ("0",), [rule(1, "done", writes={0: "1"}, moves={0: +1})])
+    table.add("s", (BLANK,), [rule(1, "also", moves={0: +1})])
+    splits = _counted_splits(monkeypatch)
+    planes = Planes(2, (0,), {"s": 0b11}, [{0: {"0": 0b01}}])
+    assert planes.run_phase(Phase("t", "logic", table, "s", frozenset({"done", "also"}))) == 1
+    assert splits == ["t"]
+    assert (planes.heads, planes.groups) == ((1,), {"done": 0b01, "also": 0b10})
+    assert planes.tracks == [{0: {"1": 0b01}}]
+
+
+def _assert_merged_like_the_references(make, table, monkeypatch) -> Planes:
+    """``make()``'s planes run ``table`` on the merged lane alone, and end
+    where stepping a copy through Planes.step ends (planes, sign, heads) and
+    with the amplitudes of :func:`machine.step`. Returns the merged planes."""
+    phase = _fork_phase(table)
+    splits = _counted_splits(monkeypatch)
+    merged = make()
+    steps = merged.run_phase(phase)
+    assert splits == []
+    split = make()
+    assert _step_through(split, phase) == steps
+    assert _snapshot(merged) == _snapshot(split)
+
+    start = make()
+    psi = ConfigSuperposition(_amplitudes(start))
+    for _ in range(steps):
+        psi = step(psi, table, phase.finals)
+    amplitudes = _amplitudes(merged)
+    assert amplitudes.keys() == psi.branches.keys()
+    for config, amp in psi.branches.items():
+        assert abs(amplitudes[config] - amp) <= 1e-12
+    return merged
+
+
+def test_a_symbol_on_some_branches_is_written_on_the_merged_lane(monkeypatch):
+    """Branch 0 reads "0" and branch 1 a blank, keys whose rules differ only
+    in the write: one merged step writes "1" for branch 0 alone."""
     table = TransitionFunction("t", 1, (0,), (0,), {0: ("0", "1")})
     table.add("s", ("0",), [rule(1, "done", writes={0: "1"}, moves={0: +1})])
     table.add("s", (BLANK,), [rule(1, "done", moves={0: +1})])
+    merged = _assert_merged_like_the_references(
+        lambda: Planes(2, (0,), {"s": 0b11}, [{0: {"0": 0b01}}]), table, monkeypatch)
+    assert (merged.heads, merged.tracks) == ((1,), [{0: {"1": 0b01}}])
+
+
+def _written_by_key(track: int) -> TransitionFunction:
+    """Three keys on track 0, all moving on to ``done``: "0" writes "1" on
+    ``track`` and flips the sign, "1" blanks it, a blank writes "0"."""
+    table = TransitionFunction("keys", 2, (0,), (track,), {0: ("0", "1")})
+    for read, write, amp in (("0", "1", -1), ("1", BLANK, 1), (BLANK, "0", 1)):
+        table.add("s", (read,), [rule(amp, "done", writes={track: write}, moves={0: +1})])
+    return table
+
+
+@pytest.mark.parametrize("track", [0, 1], ids=["read-track", "unread-track"])
+def test_a_merged_step_writes_each_key_its_own_symbol(track, monkeypatch):
+    """Branches 0, 1 and 2 read "0", "1" and a blank under one option
+    ("0", "1", blank): each key writes its own symbol and only "0" flips the
+    sign. On the unread track 1 branch 3 reads a blank and writes "0" over
+    the "1" it held there, and branches 0 and 1 overwrite theirs."""
+    def three_keys():
+        return Planes(4, (0, 0), {"s": 0b1111},
+                      [{0: {"0": 0b0001, "1": 0b0010}}, {0: {"1": 0b1011}}])
+
+    merged = _assert_merged_like_the_references(three_keys, _written_by_key(track), monkeypatch)
+    assert (merged.heads, merged.sign, merged.groups) == ((1, 0), 0b0001, {"done": 0b1111})
+    written = merged.tracks[track][0]
+    assert written == {"1": 0b0001, "0": 0b1100}
+
+
+def test_batched_replays_never_split_the_clause_phase(monkeypatch):
+    """Every assignment in one pass: the clause writes that depend on the
+    bits read take the merged lane, and only and_eval, whose states part on
+    the clause bits, splits."""
     splits = _counted_splits(monkeypatch)
-    planes = Planes(2, (0,), {"s": 0b11}, [{0: {"0": 0b01}}])
-    assert planes.run_phase(_fork_phase(table)) == 1
-    assert splits == ["t"]
-    assert (planes.heads, planes.tracks) == ((1,), [{0: {"1": 0b01}}])
+    rng = random.Random(20)
+    for num_vars in range(1, 7):
+        for inst in (_random_instance(rng, num_vars), _random_instance(rng, num_vars)):
+            assignments = list(itertools.product((0, 1), repeat=num_vars))
+            replays = run_classical_branches(inst, assignments)
+            assert [r for _, r in replays] == [eval_instance(inst, b) for b in assignments]
+            assert "or_eval" not in splits
+    assert "and_eval" in splits
 
 
 def test_replays_never_take_the_split_path(monkeypatch):
@@ -1137,22 +1230,35 @@ def test_run_phase_reads_rules_added_after_a_memoised_step(monkeypatch):
     assert (planes.heads, planes.groups) == ((1,), {"done": 0b11})
 
 
-@pytest.mark.parametrize("lane", ["merged", "split"])
+@pytest.mark.parametrize("lane", ["merged", "merged-by-key", "split"])
 def test_run_phase_stops_at_the_step_cap(lane, monkeypatch):
-    """A table that never halts: one branch on a blank takes the merged lane,
-    two branches whose rows differ in sign take the split lane."""
+    """A table that never halts: one branch on a blank, or two branches
+    whose rows differ in sign, take the merged lane; two branches whose rows
+    go to different states take the split lane."""
     splits = _counted_splits(monkeypatch)
     if lane == "merged":
         planes = _one_branch({})
         table = _bit_table(None, None, on_blank=rule(1, "s"))
-    else:
+    elif lane == "merged-by-key":
         planes = _zero_and_one()
         table = _bit_table(rule(1, "s"), rule(-1, "s"))
+    else:
+        planes = _zero_and_one()
+        table = _bit_table(rule(1, "s"), rule(1, "t"))
+        table.add("t", ("1",), [rule(1, "s")])
     seen = []
     with pytest.raises(RuntimeError, match=f"exceeded {MAX_PHASE_STEPS} steps"):
         planes.run_phase(_fork_phase(table), lambda cur, mass: seen.append(mass))
     assert len(seen) == MAX_PHASE_STEPS and not any(seen)
-    assert len(splits) == (0 if lane == "merged" else MAX_PHASE_STEPS)
+    assert len(splits) == (MAX_PHASE_STEPS if lane == "split" else 0)
+
+
+def test_rows_that_differ_in_sign_merge_like_the_references(monkeypatch):
+    """The rows of the merged-by-key cap case, halting: branch 1 alone
+    flips its sign."""
+    table = _bit_table(DONE, rule(-1, "done", moves={0: +1}))
+    merged = _assert_merged_like_the_references(_zero_and_one, table, monkeypatch)
+    assert (merged.heads, merged.sign, merged.groups) == ((1,), 0b10, {"done": 0b11})
 
 
 def test_fork_beside_a_halted_branch_is_refused():
