@@ -27,7 +27,7 @@ from .amplifier import (
 )
 from .circuit import CircuitLayout, CircuitRun, build_circuit, layout, run, sat_decision_exact
 from .config import GuardExceeded
-from .gates import GateKind, PlacedGate, decompose, gate_matrix, placed
+from .gates import GateKind, PlacedGate, check_gates, decompose, gate_matrix, placed
 from .gqtm import GqtmRun, check_wellformed, dump_transition, run_sat_gqtm, sat_machine
 from .pipeline import SolveReport, solve
 from .quantum import StateVector, apply_placed_gate, apply_sequence, basis_state
@@ -66,6 +66,7 @@ __all__ = [
     "apply_sequence",
     "basis_state",
     "build_circuit",
+    "check_gates",
     "check_wellformed",
     "count_models",
     "decompose",

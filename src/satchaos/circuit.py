@@ -142,10 +142,19 @@ class CircuitRun:
     gate_counts: dict[str, int]
 
 
+_KIND_VALUES = tuple(kind.value for kind in GateKind)
+
+
 def gate_tally(gates) -> dict[str, int]:
-    """Counts per gate kind, with every kind present (zeros included)."""
-    kinds = [gate.kind for gate in gates]
-    return {kind.value: kinds.count(kind) for kind in GateKind}
+    """Counts per gate kind, with every kind present (zeros included).
+
+    One pass, keyed by the kind's ``_value_`` string: an enum member hashes
+    and reads ``.value`` through Python-level methods, several times slower.
+    """
+    counts = dict.fromkeys(_KIND_VALUES, 0)
+    for gate in gates:
+        counts[gate.kind._value_] += 1
+    return counts
 
 
 def _h_plane(qubit: int, num_vars: int) -> int:

@@ -2,24 +2,25 @@
 
 Exit codes are fixed for CI use: 0 success, 1 input error, 2 guard refusal,
 3 verification findings, 4 internal invariant break (an ``ArithmeticError``
-or ``RuntimeError`` such as norm drift or a stuck machine). Reports are JSON
-with sorted keys; traces and sweeps are CSV. ``solve --deterministic`` drops
-the wall-clock timings, so identical flags give byte-identical reports; the
-other commands emit no timings.
+or ``RuntimeError`` such as norm drift or a stuck machine). Reports are JSON,
+exactly the text of ``json.dumps(report, indent=2, sort_keys=True)``; traces
+and sweeps are CSV. Input files are read as UTF-8 whatever the locale.
+``solve --deterministic`` drops the wall-clock timings, so identical flags
+give byte-identical reports; the other commands emit no timings.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from .amplifier import LogisticParams, sweep_crossing_bounds
 from .config import DEFAULT_LOGISTIC_A, DEFAULT_THRESHOLD, GuardExceeded
 from .pipeline import BACKENDS, solve
-from .sat import count_models, parse_dimacs
+from .sat import DimacsError, count_models, parse_dimacs
 from .verify import DEFAULT_SEED, SUITES
 
 EXIT_OK = 0
@@ -124,10 +125,72 @@ def _emit(text: str, path: str | None) -> None:
 
 def _load_instance(path: str):
     try:
-        text = Path(path).read_text()
+        with open(path, "rb") as handle:
+            data = handle.read()
     except OSError as exc:
         raise ValueError(f"cannot read {path!r}: {exc.strerror}") from exc
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise DimacsError(
+            "input is not UTF-8 text", data.count(b"\n", 0, exc.start) + 1
+        ) from None
+    if "\r" in text:  # newlines as text mode reads them: \r\n and a lone \r end a line
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
     return parse_dimacs(text)
+
+
+_JSON_CONSTANTS = {None: "null", True: "true", False: "false"}
+_INF = float("inf")
+
+
+def _json_text(value, indent: str = "\n") -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)``, byte for byte.
+
+    json encodes with an indent in pure Python; this walks the value once,
+    escapes strings with json's C escaper and writes numbers with the
+    ``__repr__`` json uses. It raises ``TypeError`` on every value and key
+    that json refuses. ``indent`` is the newline and indent of the enclosing
+    level.
+    """
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None or value is True or value is False:
+        return _JSON_CONSTANTS[value]
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if value != value:
+            return "NaN"
+        if value == _INF:
+            return "Infinity"
+        if value == -_INF:
+            return "-Infinity"
+        return float.__repr__(value)
+    inner = indent + "  "
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        items = [_json_text(item, inner) for item in value]
+        return f"[{inner}{(',' + inner).join(items)}{indent}]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = [
+            f"{encode_basestring_ascii(_json_key(key))}: {_json_text(item, inner)}"
+            for key, item in sorted(value.items())
+        ]
+        return f"{{{inner}{(',' + inner).join(items)}{indent}}}"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _json_key(key) -> str:
+    """A dict key as json writes it: str, int, float, bool and None only."""
+    if isinstance(key, str):
+        return key
+    if key is None or isinstance(key, (int, float)):
+        return _json_text(key)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
 
 
 def cmd_solve(args) -> int:
@@ -136,7 +199,7 @@ def cmd_solve(args) -> int:
     report["r_oracle"] = count_models(inst)
     if args.deterministic:
         report["timings"] = None
-    _emit(json.dumps(report, indent=2, sort_keys=True) + "\n", args.json)
+    _emit(_json_text(report) + "\n", args.json)
     return EXIT_OK
 
 
@@ -169,7 +232,7 @@ def cmd_verify(args) -> int:
         ],
     }
     if args.json:
-        _emit(json.dumps(report, indent=2, sort_keys=True) + "\n", args.json)
+        _emit(_json_text(report) + "\n", args.json)
     for r in results:
         print(r.summary())
         for finding in r.findings:

@@ -6,6 +6,12 @@ positions (NOT/CN/CCN flip on none/one/two controls; AND, OR, COPY fold the
 corresponding connective into the target). Local matrices index their inputs
 with slot 0 as the least-significant bit, matching the register convention
 that lower qubit numbers vary faster.
+
+A :class:`PlacedGate` is not checked when it is built: the circuit layout
+places every gate well formed by construction. :func:`check_gates` holds the
+checks (arity, distinct positions, positions inside the register); the dense
+reference engine runs it on every gate it applies, and ``verify gates`` runs
+it on every gate that ``build_circuit`` emits for its corpus.
 """
 
 from __future__ import annotations
@@ -51,21 +57,13 @@ _TARGET_FLIP = {
 
 @dataclass(frozen=True)
 class PlacedGate:
-    """A gate bound to distinct 1-based qubit positions."""
+    """A gate bound to distinct 1-based qubit positions.
+
+    Built unchecked; :func:`check_gates` tells whether it is well formed.
+    """
 
     kind: GateKind
     positions: tuple[int, ...]
-
-    def __post_init__(self):
-        arity = GATE_ARITY[self.kind]
-        if len(self.positions) != arity:
-            raise ValueError(
-                f"{self.kind.value} takes {arity} positions, got {self.positions}"
-            )
-        if len(set(self.positions)) != arity:
-            raise ValueError(f"positions must be distinct, got {self.positions}")
-        if any(p < 1 for p in self.positions):
-            raise ValueError(f"positions are 1-based, got {self.positions}")
 
     def __repr__(self):
         return f"{self.kind.value}({', '.join(map(str, self.positions))})"
@@ -76,6 +74,20 @@ GateSequence = tuple[PlacedGate, ...]
 
 def placed(kind: GateKind, *positions: int) -> PlacedGate:
     return PlacedGate(kind, tuple(positions))
+
+
+def check_gates(gates, num_qubits: int) -> None:
+    """Raise ``ValueError`` at the first gate that is not well formed on a
+    num_qubits register: its arity, distinct positions, each in 1..num_qubits."""
+    for gate in gates:
+        arity, positions = GATE_ARITY[gate.kind], gate.positions
+        if len(positions) != arity:
+            raise ValueError(f"{gate.kind.value} takes {arity} positions, got {positions}")
+        if len(set(positions)) != arity:
+            raise ValueError(f"positions must be distinct, got {positions}")
+        for p in positions:
+            if not 1 <= p <= num_qubits:
+                raise ValueError(f"gate position {p} out of range 1..{num_qubits}")
 
 
 @cache

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import ACCUMULATED_ATOL, DEFAULT_MAX_QUBITS, GuardExceeded
-from .gates import GATE_ARITY, PlacedGate, gate_matrix
+from .gates import GATE_ARITY, PlacedGate, check_gates, gate_matrix
 
 
 @dataclass(frozen=True)
@@ -57,11 +57,12 @@ def qubit_axis(num_qubits: int, qubit: int) -> int:
 
 
 def apply_placed_gate(state: StateVector, gate: PlacedGate) -> StateVector:
-    """Apply one gate at its positions; identity on every other qubit."""
+    """Apply one gate at its positions; identity on every other qubit.
+
+    Raises ``ValueError`` for a gate that :func:`check_gates` refuses.
+    """
     n = state.num_qubits
-    for p in gate.positions:
-        if not 1 <= p <= n:
-            raise ValueError(f"gate position {p} out of range 1..{n}")
+    check_gates((gate,), n)
     arity = GATE_ARITY[gate.kind]
     mat = gate_matrix(gate.kind)
     tensor = state.amplitudes.reshape([2] * n)

@@ -117,22 +117,25 @@ class SatInstance:
 
 
 def instance_from_ints(num_vars: int, clauses: list[list[int]]) -> SatInstance:
-    """Build an instance from signed-integer clause lists (DIMACS numbers)."""
-    built = tuple(
-        Clause(tuple(Literal.from_int(v) for v in cl)) for cl in clauses
-    )
-    inst = SatInstance(num_vars, built)
-    return _with_size_warning(inst)
+    """Build an instance from signed-integer clause lists (DIMACS numbers).
 
-
-def _with_size_warning(inst: SatInstance) -> SatInstance:
-    if inst.num_clauses > 2 * inst.num_vars:
-        warning = (
-            f"clause count {inst.num_clauses} exceeds 2·n = {2 * inst.num_vars}; "
-            "accepted, but the intended regime is m <= 2n"
+    Each distinct signed literal is built once and shared by every clause
+    that lists it; literals are immutable, so sharing is invisible.
+    """
+    literals: dict[int, Literal] = {}
+    built = []
+    for cl in clauses:
+        for v in cl:
+            if v not in literals:
+                literals[v] = Literal.from_int(v)
+        built.append(Clause(tuple(map(literals.__getitem__, cl))))
+    warnings = ()
+    if len(built) > 2 * num_vars:
+        warnings = (
+            f"clause count {len(built)} exceeds 2·n = {2 * num_vars}; "
+            "accepted, but the intended regime is m <= 2n",
         )
-        return SatInstance(inst.num_vars, inst.clauses, inst.warnings + (warning,))
-    return inst
+    return SatInstance(num_vars, tuple(built), warnings)
 
 
 # Every character that ``str.split`` or ``str.splitlines`` breaks at, other

@@ -20,9 +20,9 @@ from itertools import combinations, product
 import numpy as np
 
 from .amplifier import amplify_detect, sweep_crossing_bounds
-from .circuit import layout, run as circuit_run, sat_decision_exact
+from .circuit import build_circuit, layout, run as circuit_run, sat_decision_exact
 from .config import CROSS_BACKEND_ATOL, ORACLE_ATOL, SINGLE_OP_ATOL, UNITARITY_ATOL
-from .gates import GateKind, decompose, gate_matrix, placed
+from .gates import GateKind, check_gates, decompose, gate_matrix, placed
 from .gqtm.machine import ConfigSuperposition, check_wellformed, make_configuration, step
 from .gqtm.program import run_classical_branches, run_sat_gqtm, sat_machine
 from .quantum import StateVector, apply_sequence, basis_state
@@ -38,6 +38,7 @@ from .sat import (
 DEFAULT_SEED = 20260816
 MAX_TOTAL_QUBITS = 20  # circuit width a random instance may lay out to
 RANDOM_STATES = 100  # random 4-qubit states the gates suite rewrites
+GATE_INSTANCES = 40  # seeded instances whose circuits the gates suite checks
 RANDOM_TABLE_INSTANCES = 40  # seeded n = 3 instances in the tables suite
 
 # Named edge instances every corpus must contain.
@@ -93,15 +94,43 @@ def random_instance(rng: random.Random, max_n: int = 10) -> SatInstance:
 
 # --- suite: gates -----------------------------------------------------------
 
+def _circuit_gate_findings(item: tuple[str, SatInstance]) -> tuple[int, list[str]]:
+    """One check per gate ``build_circuit`` emits: is it well formed?"""
+    label, inst = item
+    lay = layout(inst)
+    gates = build_circuit(inst, lay)
+    rows = []
+    for k, gate in enumerate(gates):
+        try:
+            check_gates((gate,), lay.total_qubits)
+        except ValueError as exc:
+            rows.append(f"{label}: gate {k} {gate!r}: {exc}")
+    return len(gates), rows
+
+
 def suite_gates(seed: int = DEFAULT_SEED) -> SuiteResult:
-    """Unitarity of every gate matrix plus the rewrite identities.
+    """Unitarity of every gate matrix, the rewrite identities, and the
+    well-formedness of every gate the circuit builder places.
 
     Identities are demanded exactly on basis states (both sides are
     permutations there) and to 1e-12 on random states of a 4-qubit register
-    with scattered placements.
+    with scattered placements. Gates are built unchecked, so each gate of
+    the circuits for the edge instances and :data:`GATE_INSTANCES` seeded
+    random instances goes through :func:`check_gates` here.
     """
     findings: list[str] = []
     checks = 0
+
+    corpus_rng = random.Random(seed)
+    corpus = [(f"edge:{name}", inst) for name, inst in EDGE_INSTANCES]
+    corpus += [
+        (f"random[{i}](seed={seed})", random_instance(corpus_rng))
+        for i in range(GATE_INSTANCES)
+    ]
+    for item in corpus:
+        got, rows = _circuit_gate_findings(item)
+        checks += got
+        findings.extend(rows)
 
     for kind in GateKind:
         mat = gate_matrix(kind)

@@ -14,7 +14,7 @@ from satchaos.circuit import (
     sat_decision_exact,
 )
 from satchaos.config import GuardExceeded
-from satchaos.gates import GateKind, decompose, hadamard_layer, placed
+from satchaos.gates import GateKind, check_gates, decompose, hadamard_layer, placed
 from satchaos.quantum import apply_sequence, basis_state, probability_qubit_one
 from satchaos.sat import count_models, instance_from_ints, parse_dimacs
 from satchaos.verify import DEFAULT_SEED, EDGE_INSTANCES, random_instance
@@ -101,6 +101,17 @@ def test_cascade_targets_use_dust_qubits_only():
     gates = build_circuit(WORKED)
     ands = [g for g in gates if g.kind is GateKind.AND]
     assert [g.positions[2] for g in ands] == [lay.s[2] - 1, lay.s_f]
+
+
+def test_built_gates_are_well_formed():
+    """PlacedGate checks nothing when built: the layout must place every gate
+    with its arity, on distinct qubits of the register."""
+    rng = random.Random(DEFAULT_SEED)
+    corpus = [inst for _, inst in EDGE_INSTANCES]
+    corpus += [random_instance(rng) for _ in range(300)]
+    for inst in corpus:
+        lay = layout(inst)
+        check_gates(build_circuit(inst, lay), lay.total_qubits)
 
 
 def test_random_instances_match_model_count():

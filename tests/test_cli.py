@@ -1,11 +1,17 @@
 import json
+import os
 import random
 import re
+import subprocess
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 import satchaos.circuit
+import satchaos.cli
 import satchaos.pipeline
 import satchaos.verify
 from satchaos.amplifier import iteration_window, k_bounds
@@ -15,8 +21,10 @@ from satchaos.cli import (
     EXIT_INPUT,
     EXIT_INTERNAL,
     EXIT_OK,
+    _json_text,
     main,
 )
+from satchaos.gates import GateKind, placed
 from satchaos.gqtm import LockstepError, StuckConfigurationError
 from satchaos.sat import instance_from_ints, to_dimacs
 
@@ -147,11 +155,123 @@ WORKED_REPORT = """\
 """
 
 
+WORKED_REPORT_GQTM = """\
+{
+  "amplifier": {
+    "a": 3.71,
+    "decision": "SAT",
+    "iterations": 1,
+    "k_high": 2,
+    "k_low": 0,
+    "k_star": 1,
+    "threshold": 0.5
+  },
+  "backend": "gqtm",
+  "decision": "SAT",
+  "gate_counts": null,
+  "layout": {
+    "mu": 6,
+    "s": [
+      4,
+      6,
+      8
+    ],
+    "s_f": 10,
+    "single_clause": false,
+    "total_qubits": 10
+  },
+  "m": 3,
+  "machine": {
+    "branch_count": 8,
+    "unitary_steps": 79
+  },
+  "n": 3,
+  "q_squared": 0.5,
+  "r_oracle": 4,
+  "timings": null,
+  "warnings": []
+}
+"""
+
+
 def test_deterministic_report_bytes_are_pinned(worked_path, capsys):
     """The report's bytes are part of the CLI's contract: keys sorted, two
     spaces of indent, one trailing newline."""
     assert main(["solve", worked_path, "--deterministic"]) == EXIT_OK
     assert capsys.readouterr().out == WORKED_REPORT
+    assert main(["solve", worked_path, "--backend", "gqtm", "--deterministic"]) == EXIT_OK
+    assert capsys.readouterr().out == WORKED_REPORT_GQTM
+
+
+SURROGATES = ["\ud800", "\udbff", "\udc00", "\udfff"]
+json_text = st.lists(st.text() | st.sampled_from(SURROGATES), max_size=4).map("".join)
+json_scalars = (
+    st.none() | st.booleans() | st.integers() | st.integers(min_value=2**63)
+    | st.floats() | json_text
+)
+json_values = st.recursive(
+    json_scalars,
+    lambda inner: (
+        st.lists(inner, max_size=5)
+        | st.lists(inner, max_size=3).map(tuple)
+        | st.dictionaries(json_text, inner, max_size=5)
+    ),
+    max_leaves=40,
+)
+
+
+class _Count(int):
+    """An int subclass whose repr is not its JSON text."""
+
+    def __repr__(self):
+        return "_Count()"
+
+
+class _Ratio(float):
+    """A float subclass whose repr is not its JSON text."""
+
+    def __repr__(self):
+        return "_Ratio()"
+
+
+def _encodes_as_json(value):
+    """The report encoder writes json's text or refuses where json does."""
+    try:
+        want = json.dumps(value, indent=2, sort_keys=True)
+    except TypeError:
+        with pytest.raises(TypeError):
+            _json_text(value)
+    else:
+        assert _json_text(value) == want
+
+
+@given(json_values)
+@example({"a": [-0.0, 1e300, float("nan"), float("inf"), float("-inf")], "b": {}})
+@example([2**64, -(2**200), True, False, None, (), (1, "x"), []])
+@example({"caf\u00e9": "\ud83d\ude00\ud800", "": [{}]})
+@example([np.float64(0.1), np.float64("nan"), np.float64("-inf"), _Count(7), _Ratio(0.5)])
+def test_report_encoder_matches_json(value):
+    _encodes_as_json(value)
+
+
+@given(st.dictionaries(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text() | st.tuples(st.integers()),
+    st.integers(), max_size=4,
+))
+def test_report_encoder_keys_match_json(value):
+    """json writes int, float, bool and None keys as text and refuses other
+    keys; a mix it cannot sort is a TypeError in both."""
+    _encodes_as_json(value)
+
+
+@pytest.mark.parametrize("value", [
+    {1, 2}, [object()], {"a": b"bytes"}, {(1, 2): 3}, {"a": {frozenset(): 1}}, np.int64(3),
+])
+def test_report_encoder_refuses_what_json_refuses(value):
+    with pytest.raises(TypeError):
+        json.dumps(value, indent=2, sort_keys=True)
+    with pytest.raises(TypeError):
+        _json_text(value)
 
 
 # --- trace -------------------------------------------------------------------
@@ -210,6 +330,27 @@ def test_bad_dimacs_reports_line(tmp_path, capsys):
     assert main(["solve", str(path)]) == EXIT_INPUT
     err = capsys.readouterr().err
     assert "error:" in err and "line 2" in err
+
+
+def test_non_utf8_input_is_a_dimacs_error(tmp_path, capsys):
+    path = tmp_path / "latin1.cnf"
+    path.write_bytes(b"c caf\xe9\np cnf 1 1\n1 0\n")
+    assert main(["solve", str(path)]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err == "error: input is not UTF-8 text (line 1)\n"
+
+
+def test_utf8_input_is_read_whatever_the_locale(tmp_path):
+    path = tmp_path / "utf8.cnf"
+    path.write_bytes("c café\np cnf 1 1\n1 0\n".encode())
+    src = str(Path(satchaos.cli.__file__).resolve().parent.parent)
+    env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONPATH": src}
+    done = subprocess.run(
+        [sys.executable, "-m", "satchaos.cli", "solve", str(path), "--deterministic"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == EXIT_OK, done.stderr
+    assert json.loads(done.stdout)["decision"] == "SAT"
 
 
 def test_solve_accepts_satlib_trailer(tmp_path, capsys):
@@ -381,6 +522,19 @@ def test_verify_bounds_prints_expected_warnings(capsys):
     assert "bounds" in out
     assert out.count("warning:") == 3  # lower bound misses at n = 4, 5, 6
     assert "FINDING" not in out
+
+
+def test_verify_gates_reports_a_malformed_circuit_gate(monkeypatch, capsys):
+    build = satchaos.verify.build_circuit
+
+    def planted(inst, lay=None):
+        return build(inst, lay) + (placed(GateKind.CN, 1, 1),)
+
+    monkeypatch.setattr(satchaos.verify, "build_circuit", planted)
+    assert main(["verify", "gates"]) == EXIT_FINDINGS
+    out = capsys.readouterr().out
+    assert "FINDING: edge:contradiction: gate " in out
+    assert "CN(1, 1): positions must be distinct" in out
 
 
 def test_verify_findings_exit_findings(monkeypatch, capsys):

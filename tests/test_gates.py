@@ -4,6 +4,7 @@ import pytest
 from satchaos.config import UNITARITY_ATOL
 from satchaos.gates import (
     GateKind,
+    check_gates,
     decompose,
     gate_matrix,
     hadamard_layer,
@@ -44,12 +45,17 @@ def test_or_truth_table():
 
 
 def test_placed_gate_validation():
-    with pytest.raises(ValueError):
-        placed(GateKind.OR, 1, 2)  # arity
-    with pytest.raises(ValueError):
-        placed(GateKind.CN, 2, 2)  # duplicate positions
-    with pytest.raises(ValueError):
-        placed(GateKind.NOT, 0)  # 1-based
+    """Gates are built unchecked; check_gates and the dense engine refuse
+    a malformed one."""
+    for gate, reason in (
+        (placed(GateKind.OR, 1, 2), "takes 3 positions"),
+        (placed(GateKind.CN, 2, 2), "must be distinct"),
+        (placed(GateKind.NOT, 0), "out of range"),  # 1-based
+    ):
+        with pytest.raises(ValueError, match=reason):
+            check_gates([gate], 3)
+        with pytest.raises(ValueError, match=reason):
+            apply_sequence(basis_state(3, 0), [gate])
 
 
 @pytest.mark.parametrize(
