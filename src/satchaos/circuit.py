@@ -21,12 +21,12 @@ from .config import GuardExceeded, INTEGRALITY_ATOL, MAX_PLANE_BYTES, SAT_DECISI
 from .gates import (
     GateKind,
     GateSequence,
+    append_polarized_copy,
+    append_polarized_or,
     hadamard_layer,
     placed,
-    polarized_copy,
-    polarized_or,
 )
-from .sat import SatInstance
+from .sat import SatInstance, _variable_planes
 
 
 @dataclass(frozen=True)
@@ -81,47 +81,41 @@ def layout(inst: SatInstance) -> CircuitLayout:
     return CircuitLayout(n, m, tuple(s), s_f, mu, single_clause=(m == 1))
 
 
-def _fold_clause(clause, block_start: int) -> tuple[list, int]:
+def _fold_clause(clause, block_start: int, gates: list) -> int:
     """Left-fold a clause's disjunction into its work block.
 
-    Returns (gates, result qubit). The first pair of literals feeds one OR;
-    every further literal ORs with the previous work qubit. A first pair on
-    the same variable degenerates: same sign is just that literal (COPY),
-    opposite signs are constantly true (NOT on the fresh work qubit).
+    Appends the gates to ``gates`` and returns the result qubit. The first
+    pair of literals feeds one OR; every further literal ORs with the
+    previous work qubit. A first pair on the same variable degenerates: same
+    sign is just that literal (COPY), opposite signs are constantly true (NOT
+    on the fresh work qubit).
     """
     lits = clause.literals
-    gates: list = []
-    if clause.card == 1:
-        lit = lits[0]
-        gates += polarized_copy(lit.variable, block_start, negate_u=lit.negated)
-        return gates, block_start
-    first, second = lits[0], lits[1]
+    first = lits[0]
+    if len(lits) == 1:
+        append_polarized_copy(gates, first.variable, block_start, first.negated)
+        return block_start
+    second = lits[1]
     if first.variable == second.variable:
         if first.negated == second.negated:
-            gates += polarized_copy(first.variable, block_start, negate_u=first.negated)
+            append_polarized_copy(gates, first.variable, block_start, first.negated)
         else:
             gates.append(placed(GateKind.NOT, block_start))  # x OR NOT x
     else:
-        gates += polarized_or(
-            first.variable, second.variable, block_start,
-            negate_u=first.negated, negate_v=second.negated,
-        )
+        append_polarized_or(gates, first.variable, second.variable, block_start,
+                            first.negated, second.negated)
     work = block_start
     for lit in lits[2:]:
-        gates += polarized_or(lit.variable, work, work + 1, negate_u=lit.negated)
+        append_polarized_or(gates, lit.variable, work, work + 1, lit.negated)
         work += 1
-    return gates, work
+    return work
 
 
 def build_circuit(inst: SatInstance, lay: CircuitLayout | None = None) -> GateSequence:
     """Gate list in application order: H layer, clause folds, AND cascade."""
     lay = lay or layout(inst)
     gates = list(hadamard_layer(lay.total_qubits, inst.num_vars))
-    results = []
-    for k, clause in enumerate(inst.clauses):
-        clause_gates, result = _fold_clause(clause, lay.s[k])
-        gates += clause_gates
-        results.append(result)
+    results = [_fold_clause(clause, start, gates) for clause, start in zip(inst.clauses, lay.s)]
     if lay.single_clause:
         # No cascade; move the lone clause value onto the result qubit.
         gates.append(placed(GateKind.COPY, results[0], lay.s_f))
@@ -152,19 +146,9 @@ def gate_tally(gates) -> dict[str, int]:
     and reads ``.value`` through Python-level methods, several times slower.
     """
     counts = dict.fromkeys(_KIND_VALUES, 0)
-    for gate in gates:
-        counts[gate.kind._value_] += 1
+    for kind, _ in gates:
+        counts[kind._value_] += 1
     return counts
-
-
-def _h_plane(qubit: int, num_vars: int) -> int:
-    """Plane of variable qubit k after H: bit i is (i >> (k-1)) & 1."""
-    half = 1 << (qubit - 1)
-    plane, period = ((1 << half) - 1) << half, 2 * half
-    while period < 1 << num_vars:
-        plane |= plane << period
-        period *= 2
-    return plane
 
 
 def bit_planes(gates, num_vars: int, num_qubits: int) -> list[int]:
@@ -180,23 +164,21 @@ def bit_planes(gates, num_vars: int, num_qubits: int) -> list[int]:
     if num_vars > num_qubits:
         raise ValueError(f"cannot place {num_vars} H gates on {num_qubits} qubits")
     gates = tuple(gates)
-    if len(gates) < num_vars or any(
-        gate.kind is not GateKind.H or gate.positions != (k,)
-        for k, gate in enumerate(gates[:num_vars], start=1)
-    ):
+    # A gate equals the plain tuple (kind, positions).
+    if gates[:num_vars] != tuple((GateKind.H, (k,)) for k in range(1, num_vars + 1)):
         raise ValueError(
             f"gate list must open with H on qubits 1..{num_vars} in order"
         )
     ones = (1 << (1 << num_vars)) - 1
     # 1-based: planes[k] is qubit k, so positions index it directly.
-    planes = [0] + [_h_plane(k, num_vars) for k in range(1, num_vars + 1)]
+    planes = [0, *_variable_planes(num_vars)]
     planes += [0] * (num_qubits - num_vars)
     # Local names: a GateKind.X lookup per gate costs more than a small plane's XOR.
     NOT, OR, AND, CCN, COPY, CN = (
         GateKind.NOT, GateKind.OR, GateKind.AND, GateKind.CCN, GateKind.COPY, GateKind.CN,
     )
     for gate in gates[num_vars:]:
-        kind, positions = gate.kind, gate.positions
+        kind, positions = gate
         if kind is NOT:
             planes[positions[0]] ^= ones
         elif kind is OR:

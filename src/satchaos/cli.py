@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -123,25 +124,46 @@ def _emit(text: str, path: str | None) -> None:
         raise ValueError(f"cannot write {path!r}: {exc.strerror}") from exc
 
 
+_READ_CHUNK = 1 << 16
+_READ_FLAGS = os.O_RDONLY | getattr(os, "O_BINARY", 0)  # no line-end translation
+
+
 def _load_instance(path: str):
+    """Parse the DIMACS file at ``path``, read as bytes and decoded as UTF-8.
+
+    The text goes to ``parse_dimacs`` as it is: a line ends at ``\\n``, with
+    an optional ``\\r`` before it, and any other ``\\r`` is refused.
+    """
+    chunks = []
     try:
-        with open(path, "rb") as handle:
-            data = handle.read()
+        fd = os.open(path, _READ_FLAGS)
+        try:
+            while chunk := os.read(fd, _READ_CHUNK):  # b"" only at the end
+                chunks.append(chunk)
+        finally:
+            os.close(fd)
     except OSError as exc:
         raise ValueError(f"cannot read {path!r}: {exc.strerror}") from exc
+    data = b"".join(chunks)
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise DimacsError(
             "input is not UTF-8 text", data.count(b"\n", 0, exc.start) + 1
         ) from None
-    if "\r" in text:  # newlines as text mode reads them: \r\n and a lone \r end a line
-        text = text.replace("\r\n", "\n").replace("\r", "\n")
     return parse_dimacs(text)
 
 
 _JSON_CONSTANTS = {None: "null", True: "true", False: "false"}
 _INF = float("inf")
+# Container items whose class is exactly one of these are written inline,
+# without a call to _json_text; floats, subclasses and containers recurse.
+_INLINE = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    bool: _JSON_CONSTANTS.__getitem__,
+    type(None): _JSON_CONSTANTS.__getitem__,
+}
 
 
 def _json_text(value, indent: str = "\n") -> str:
@@ -168,18 +190,25 @@ def _json_text(value, indent: str = "\n") -> str:
             return "-Infinity"
         return float.__repr__(value)
     inner = indent + "  "
+    inline = _INLINE.get
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
-        items = [_json_text(item, inner) for item in value]
+        items = []
+        for item in value:
+            write = inline(type(item))
+            items.append(write(item) if write else _json_text(item, inner))
         return f"[{inner}{(',' + inner).join(items)}{indent}]"
     if isinstance(value, dict):
         if not value:
             return "{}"
-        items = [
-            f"{encode_basestring_ascii(_json_key(key))}: {_json_text(item, inner)}"
-            for key, item in sorted(value.items())
-        ]
+        items = []
+        for key, item in sorted(value.items()):
+            write = inline(type(item))
+            items.append(
+                f"{encode_basestring_ascii(_json_key(key))}: "
+                f"{write(item) if write else _json_text(item, inner)}"
+            )
         return f"{{{inner}{(',' + inner).join(items)}{indent}}}"
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 

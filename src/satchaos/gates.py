@@ -7,7 +7,9 @@ corresponding connective into the target). Local matrices index their inputs
 with slot 0 as the least-significant bit, matching the register convention
 that lower qubit numbers vary faster.
 
-A :class:`PlacedGate` is not checked when it is built: the circuit layout
+A :class:`PlacedGate` is a plain tuple ``(kind, positions)``, like
+:class:`satchaos.gqtm.machine.Configuration`, so building one costs one
+``tuple.__new__``. It is not checked when it is built: the circuit layout
 places every gate well formed by construction. :func:`check_gates` holds the
 checks (arity, distinct positions, positions inside the register); the dense
 reference engine runs it on every gate it applies, and ``verify gates`` runs
@@ -17,8 +19,8 @@ it on every gate that ``build_circuit`` emits for its corpus.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from functools import cache
+from operator import itemgetter
 
 import numpy as np
 
@@ -55,25 +57,38 @@ _TARGET_FLIP = {
 }
 
 
-@dataclass(frozen=True)
-class PlacedGate:
+_new_tuple = tuple.__new__  # builds a PlacedGate without a Python-level call
+
+
+class PlacedGate(tuple):
     """A gate bound to distinct 1-based qubit positions.
 
-    Built unchecked; :func:`check_gates` tells whether it is well formed.
+    A plain tuple ``(kind, positions)``, like ``Configuration``: equality and
+    hashing run at tuple speed, and a gate equals the plain tuple
+    ``(kind, positions)``. Its attributes are read-only. Built unchecked;
+    :func:`check_gates` tells whether it is well formed.
     """
 
-    kind: GateKind
-    positions: tuple[int, ...]
+    __slots__ = ()
+
+    def __new__(cls, kind: GateKind, positions: tuple[int, ...]):
+        return _new_tuple(cls, (kind, positions))
+
+    kind = property(itemgetter(0))
+    positions = property(itemgetter(1))
+
+    def __getnewargs__(self):  # pickle and copy rebuild through __new__
+        return tuple(self)
 
     def __repr__(self):
-        return f"{self.kind.value}({', '.join(map(str, self.positions))})"
+        return f"{self[0].value}({', '.join(map(str, self[1]))})"
 
 
 GateSequence = tuple[PlacedGate, ...]
 
 
 def placed(kind: GateKind, *positions: int) -> PlacedGate:
-    return PlacedGate(kind, tuple(positions))
+    return _new_tuple(PlacedGate, (kind, positions))
 
 
 def check_gates(gates, num_qubits: int) -> None:
@@ -126,6 +141,34 @@ def decompose(gate: PlacedGate) -> GateSequence:
     return (gate,)
 
 
+_NOT, _OR, _COPY = GateKind.NOT, GateKind.OR, GateKind.COPY
+
+
+def append_polarized_or(gates: list, u: int, v: int, w: int,
+                        negate_u: bool = False, negate_v: bool = False) -> None:
+    """Append the gates of :func:`polarized_or` to ``gates``: the OR, between
+    a NOT pair on each negated input."""
+    core = _new_tuple(PlacedGate, (_OR, (u, v, w)))
+    if not (negate_u or negate_v):
+        gates.append(core)
+        return
+    pre = []
+    if negate_u:
+        pre.append(_new_tuple(PlacedGate, (_NOT, (u,))))
+    if negate_v:
+        pre.append(_new_tuple(PlacedGate, (_NOT, (v,))))
+    gates += (*pre, core, *pre)
+
+
+def append_polarized_copy(gates: list, u: int, w: int, negate_u: bool = False) -> None:
+    """Append the gates of :func:`polarized_copy` to ``gates``."""
+    if negate_u:
+        flip = _new_tuple(PlacedGate, (_NOT, (u,)))
+        gates += (flip, _new_tuple(PlacedGate, (_COPY, (u, w))), flip)
+    else:
+        gates.append(_new_tuple(PlacedGate, (_COPY, (u, w))))
+
+
 def polarized_or(u: int, v: int, w: int, *, negate_u: bool = False,
                  negate_v: bool = False) -> GateSequence:
     """OR of the (possibly negated) values at u and v, XORed into w.
@@ -133,21 +176,16 @@ def polarized_or(u: int, v: int, w: int, *, negate_u: bool = False,
     Negated inputs are handled by conjugating with NOT on that input, so the
     inputs are restored after the gate.
     """
-    pre = []
-    if negate_u:
-        pre.append(placed(GateKind.NOT, u))
-    if negate_v:
-        pre.append(placed(GateKind.NOT, v))
-    core = [placed(GateKind.OR, u, v, w)]
-    return tuple(pre + core + pre)
+    gates: list = []
+    append_polarized_or(gates, u, v, w, negate_u, negate_v)
+    return tuple(gates)
 
 
 def polarized_copy(u: int, w: int, *, negate_u: bool = False) -> GateSequence:
     """The (possibly negated) value at u, XORed into w; input restored."""
-    if not negate_u:
-        return (placed(GateKind.COPY, u, w),)
-    flip = placed(GateKind.NOT, u)
-    return (flip, placed(GateKind.COPY, u, w), flip)
+    gates: list = []
+    append_polarized_copy(gates, u, w, negate_u)
+    return tuple(gates)
 
 
 def hadamard_layer(num_qubits: int, count: int) -> GateSequence:

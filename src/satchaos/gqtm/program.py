@@ -35,12 +35,11 @@ from ..amplifier import (
     logistic_step,
     snap_dyadic,
 )
-from ..circuit import _h_plane
 from ..config import (
     DEFAULT_MAX_MACHINE_VARS,
     GuardExceeded,
 )
-from ..sat import SatInstance
+from ..sat import SatInstance, _variable_planes
 from .machine import (
     BLANK,
     Configuration,
@@ -494,7 +493,7 @@ def run_sat_gqtm(inst: SatInstance, params: LogisticParams = LogisticParams(), *
     # Track 1 holds each assignment on its own branch: variable k sits at
     # index bit n-1-k, so all 2^n branches are distinct configurations.
     full = (1 << planes.width) - 1
-    ones = [_h_plane(n - k, n) for k in range(n)]
+    ones = _variable_planes(n)[::-1]
     spread = {k: {"0": full ^ p, "1": p} for k, p in enumerate(ones)}
     track1 = {k: planes.cell(1, k) for k in planes.tracks[1]}
     if planes.width != 1 << n or track1 != spread:

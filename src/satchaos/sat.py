@@ -309,19 +309,18 @@ def _variable_planes(num_vars: int) -> list[int]:
     """Plane of each variable over all 2^num_vars assignments.
 
     planes[k-1] is an int whose bit i is (i >> (k-1)) & 1, the value of
-    variable k under assignment i, built as one repeated byte pattern.
+    variable k under assignment i: one period of 2^(k-1) zeros and as many
+    ones, doubled by shift-and-OR until it covers every assignment.
     """
     size = 1 << num_vars
-    nbytes = max(size >> 3, 1)
     planes = []
     for k in range(num_vars):
         half = 1 << k
-        if half < 8:
-            pattern = (b"\xaa", b"\xcc", b"\xf0")[k]
-        else:
-            pattern = bytes(half >> 3) + b"\xff" * (half >> 3)
-        plane = int.from_bytes(pattern * (nbytes // len(pattern)), "little")
-        planes.append(plane & ((1 << size) - 1) if size < 8 else plane)
+        plane, period = ((1 << half) - 1) << half, 2 * half
+        while period < size:
+            plane |= plane << period
+            period *= 2
+        planes.append(plane)
     return planes
 
 

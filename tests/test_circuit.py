@@ -96,6 +96,28 @@ def test_guard_boundary(monkeypatch):
         run(WORKED)
 
 
+# The gate lists as the circuit has always built them, by their reprs.
+PINNED_CIRCUITS = {
+    "worked": "(H(1), H(2), H(3), OR(1, 2, 4), NOT(3), OR(3, 4, 5), NOT(3), NOT(2), "
+              "OR(3, 2, 6), NOT(2), NOT(2), OR(1, 2, 8), NOT(2), NOT(3), OR(3, 8, 9), "
+              "NOT(3), AND(5, 6, 7), AND(7, 9, 10))",
+    "contradiction": "(H(1), COPY(1, 2), NOT(1), COPY(1, 3), NOT(1), AND(2, 3, 4))",
+    "tautology": "(H(1), NOT(2), COPY(2, 3))",
+    "unit-clauses": "(H(1), H(2), COPY(1, 3), NOT(2), COPY(2, 4), NOT(2), AND(3, 4, 5))",
+    "duplicate-literals": "(H(1), H(2), COPY(1, 3), OR(2, 3, 4), NOT(2), COPY(2, 5), "
+                          "NOT(2), AND(4, 5, 6))",
+    "duplicate-opposed": "(H(1), H(2), NOT(3), OR(2, 3, 4), COPY(2, 5), AND(4, 5, 6))",
+    "forced-chain": "(H(1), H(2), H(3), COPY(1, 4), NOT(1), OR(1, 2, 5), NOT(1), NOT(2), "
+                    "OR(2, 3, 7), NOT(2), AND(4, 5, 6), AND(6, 7, 8))",
+}
+
+
+def test_gate_lists_are_pinned():
+    built = {"worked": build_circuit(WORKED)}
+    built.update((name, build_circuit(inst)) for name, inst in EDGE_INSTANCES)
+    assert {name: repr(gates) for name, gates in built.items()} == PINNED_CIRCUITS
+
+
 def test_cascade_targets_use_dust_qubits_only():
     lay = layout(WORKED)
     gates = build_circuit(WORKED)

@@ -353,6 +353,40 @@ def test_utf8_input_is_read_whatever_the_locale(tmp_path):
     assert json.loads(done.stdout)["decision"] == "SAT"
 
 
+def test_crlf_line_ends_decide(tmp_path, capsys):
+    path = tmp_path / "crlf.cnf"
+    path.write_bytes(b"p cnf 2 1\r\n1 -2 0\r\n")
+    assert main(["solve", str(path)]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["r_oracle"] == 3
+
+
+def test_lone_carriage_return_is_refused_as_the_parser_refuses_it(tmp_path, capsys):
+    """The CLI hands the decoded text to parse_dimacs unchanged: a ``\\r``
+    that does not precede ``\\n`` is a separator error, not a line end."""
+    path = tmp_path / "cr.cnf"
+    path.write_bytes(b"p cnf 2 1\r1 -2 0\r")
+    assert main(["solve", str(path)]) == EXIT_INPUT
+    assert capsys.readouterr().err == (
+        "error: separator '\\r' is not a space or a tab (line 1)\n"
+    )
+
+
+def test_file_longer_than_one_read_decides_alike(worked_path, tmp_path, capsys):
+    path = tmp_path / "long.cnf"
+    path.write_text("c " + "x" * (1 << 20) + "\n" + WORKED_CNF)
+    assert main(["solve", worked_path, "--deterministic"]) == EXIT_OK
+    short = capsys.readouterr().out
+    assert main(["solve", str(path), "--deterministic"]) == EXIT_OK
+    assert capsys.readouterr().out == short
+
+
+def test_empty_file_has_no_header(tmp_path, capsys):
+    path = tmp_path / "empty.cnf"
+    path.write_bytes(b"")
+    assert main(["solve", str(path)]) == EXIT_INPUT
+    assert capsys.readouterr().err == "error: missing 'p cnf' header\n"
+
+
 def test_solve_accepts_satlib_trailer(tmp_path, capsys):
     path = tmp_path / "satlib.cnf"
     path.write_text("p cnf 2 1\n1 -2 0\n%\n0\n")

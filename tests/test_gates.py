@@ -1,9 +1,13 @@
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
 from satchaos.config import UNITARITY_ATOL
 from satchaos.gates import (
     GateKind,
+    PlacedGate,
     check_gates,
     decompose,
     gate_matrix,
@@ -42,6 +46,23 @@ def test_or_truth_table():
         j = u | (v << 1) | ((t ^ (u | v)) << 2)
         col = mat[:, i]
         assert col[j] == 1.0 and np.sum(np.abs(col)) == 1.0
+
+
+def test_placed_gate_is_a_tuple():
+    """A gate is the tuple (kind, positions): equal to it, hashed like it,
+    read-only, and rebuilt whole by pickle and deepcopy."""
+    gate = placed(GateKind.OR, 1, 2, 3)
+    assert gate == PlacedGate(GateKind.OR, (1, 2, 3)) == (GateKind.OR, (1, 2, 3))
+    assert hash(gate) == hash(PlacedGate(GateKind.OR, (1, 2, 3)))
+    assert gate.kind is GateKind.OR and gate.positions == (1, 2, 3)
+    assert repr(gate) == "OR(1, 2, 3)"
+    assert gate != placed(GateKind.OR, 1, 2, 4) and gate != placed(GateKind.AND, 1, 2, 3)
+    with pytest.raises(AttributeError):
+        gate.kind = GateKind.AND
+    with pytest.raises(AttributeError):
+        gate.positions = (3, 2, 1)
+    for twin in (pickle.loads(pickle.dumps(gate)), copy.deepcopy(gate), copy.copy(gate)):
+        assert type(twin) is PlacedGate and twin == gate and repr(twin) == "OR(1, 2, 3)"
 
 
 def test_placed_gate_validation():

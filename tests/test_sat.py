@@ -192,6 +192,15 @@ def test_assignment_indexing_is_bit_k_minus_1():
         assignment_from_index(2, 4)
 
 
+def test_variable_planes_hold_each_assignment_bit():
+    for n in range(1, 13):
+        planes = satchaos.sat._variable_planes(n)
+        assert len(planes) == n
+        for k, plane in enumerate(planes, start=1):
+            expected = sum(((i >> (k - 1)) & 1) << i for i in range(1 << n))
+            assert plane == expected, (n, k)
+
+
 def test_enumeration_guard(monkeypatch):
     def unreachable(num_vars):
         raise AssertionError("the guard must refuse before building planes")
