@@ -64,8 +64,9 @@ def snap_dyadic(weight: float, num_vars: int) -> tuple[float, int]:
 def k_bounds(n: int, r: int, a: float = DEFAULT_LOGISTIC_A) -> tuple[int, int]:
     """Crossing-index window (k_low, k_high) claimed for a seed of r/2^n.
 
-    k_low = floor((n-1-log2 r)/(log2 a - 1)), clamped at 0;
-    k_high = floor(5(n-1)/4). Undefined for r = 0 (nothing ever crosses).
+    k_low = floor((n-1-log2 r)/(log2 a - 1)), clamped at 0, and 0 for a <= 2,
+    where the window claims no lower bound; k_high = floor(5(n-1)/4).
+    Undefined for r = 0 (nothing ever crosses).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -74,7 +75,7 @@ def k_bounds(n: int, r: int, a: float = DEFAULT_LOGISTIC_A) -> tuple[int, int]:
     if r > (1 << n):
         raise ValueError(f"r = {r} exceeds 2^{n}")
     denom = math.log2(a) - 1.0
-    k_low = max(0, math.floor((n - 1 - math.log2(r)) / denom))
+    k_low = max(0, math.floor((n - 1 - math.log2(r)) / denom)) if denom > 0 else 0
     k_high = (5 * (n - 1)) // 4
     return k_low, k_high
 

@@ -146,8 +146,8 @@ _NOT, _OR, _COPY = GateKind.NOT, GateKind.OR, GateKind.COPY
 
 def append_polarized_or(gates: list, u: int, v: int, w: int,
                         negate_u: bool = False, negate_v: bool = False) -> None:
-    """Append the gates of :func:`polarized_or` to ``gates``: the OR, between
-    a NOT pair on each negated input."""
+    """Append to ``gates`` the OR of the (possibly negated) values at u and v,
+    XORed into w; each negated input is conjugated with NOT, so it is restored."""
     core = _new_tuple(PlacedGate, (_OR, (u, v, w)))
     if not (negate_u or negate_v):
         gates.append(core)
@@ -161,31 +161,13 @@ def append_polarized_or(gates: list, u: int, v: int, w: int,
 
 
 def append_polarized_copy(gates: list, u: int, w: int, negate_u: bool = False) -> None:
-    """Append the gates of :func:`polarized_copy` to ``gates``."""
+    """Append to ``gates`` the (possibly negated) value at u, XORed into w;
+    a negated input is conjugated with NOT, so it is restored."""
     if negate_u:
         flip = _new_tuple(PlacedGate, (_NOT, (u,)))
         gates += (flip, _new_tuple(PlacedGate, (_COPY, (u, w))), flip)
     else:
         gates.append(_new_tuple(PlacedGate, (_COPY, (u, w))))
-
-
-def polarized_or(u: int, v: int, w: int, *, negate_u: bool = False,
-                 negate_v: bool = False) -> GateSequence:
-    """OR of the (possibly negated) values at u and v, XORed into w.
-
-    Negated inputs are handled by conjugating with NOT on that input, so the
-    inputs are restored after the gate.
-    """
-    gates: list = []
-    append_polarized_or(gates, u, v, w, negate_u, negate_v)
-    return tuple(gates)
-
-
-def polarized_copy(u: int, w: int, *, negate_u: bool = False) -> GateSequence:
-    """The (possibly negated) value at u, XORed into w; input restored."""
-    gates: list = []
-    append_polarized_copy(gates, u, w, negate_u)
-    return tuple(gates)
 
 
 def hadamard_layer(num_qubits: int, count: int) -> GateSequence:

@@ -23,8 +23,7 @@ by component — are the reference for the collapse.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import itemgetter
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Mapping, NamedTuple
 
 from ..config import AMPLITUDE_PRUNE_EPS, SINGLE_OP_ATOL
 
@@ -76,7 +75,7 @@ def _write(tape: Tape, pos: int, sym: str) -> Tape:
     return origin, symbols + (BLANK,) * (i - size) + (sym,)
 
 
-class Configuration(tuple):
+class Configuration(NamedTuple):
     """One classical snapshot: processor state, tapes, head positions.
 
     A plain tuple ``(state, tracks, heads)`` of a string, one dense
@@ -85,14 +84,9 @@ class Configuration(tuple):
     tracks with :func:`make_configuration`.
     """
 
-    __slots__ = ()
-
-    def __new__(cls, state: str, tracks: tuple[Tape, ...], heads: tuple[int, ...]):
-        return tuple.__new__(cls, (state, tracks, heads))
-
-    state = property(itemgetter(0))
-    tracks = property(itemgetter(1))
-    heads = property(itemgetter(2))
+    state: str
+    tracks: tuple[Tape, ...]
+    heads: tuple[int, ...]
 
     def read(self, track: int) -> str:
         return _read(self[1][track], self[2][track])
@@ -102,9 +96,6 @@ class Configuration(tuple):
 
     def with_state(self, state: str) -> "Configuration":
         return Configuration(state, self[1], self[2])
-
-    def __repr__(self) -> str:
-        return f"Configuration({self[0]!r}, tracks={self[1]!r}, heads={self[2]!r})"
 
 
 def make_configuration(state: str, tracks: Iterable[Mapping[int, str]],

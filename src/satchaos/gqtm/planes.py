@@ -60,7 +60,6 @@ count configurations: a caller that measures proves distinctness from its
 own tapes (the SAT program reads one assignment per branch off track 1),
 and a measurement weighs a set of branches by its popcount, which gives the
 same result as merging step by step, because δ is linear.
-:meth:`Planes.branch` reads one branch back as a configuration.
 
 The SAT program runs every phase here; the rule-by-rule engine
 (:func:`~.machine.step`) is the reference the tests hold these planes to.
@@ -79,17 +78,16 @@ from ..config import SINGLE_OP_ATOL
 from .machine import (
     BLANK,
     MAX_PHASE_STEPS,
-    Configuration,
     Phase,
     Rule,
     StuckConfigurationError,
     TransitionFunction,
-    make_configuration,
 )
 
 Mask = int
 #: A cell: the bare symbol that every branch holds, or ``{symbol: mask}``.
 Cell = str | dict[str, Mask]
+_BITS = frozenset(("0", "1"))
 
 #: One target of δ in the form the planes apply: (amplitude, next state, the
 #: writes that change a cell, the head moves ``(track, ±1)`` in track order;
@@ -253,15 +251,6 @@ class Planes:
         self.tracks = tracks
         self.sign: Mask = 0
 
-    @classmethod
-    def from_configuration(cls, config: Configuration) -> "Planes":
-        state, tapes, heads = config
-        tracks = [
-            {origin + i: sym for i, sym in enumerate(symbols) if sym != BLANK}
-            for origin, symbols in tapes
-        ]
-        return cls(1, heads, {state: 1}, tracks)
-
     def cell(self, track: int, pos: int) -> dict[str, Mask]:
         """The cell at ``pos`` of ``track`` as ``{symbol: mask}``, ``{}`` when
         it is blank on every branch. Read only: it may be the planes' own."""
@@ -271,6 +260,17 @@ class Planes:
         if cell.__class__ is str:
             return {cell: (1 << self.width) - 1}
         return cell
+
+    def ones(self, track: int, pos: int) -> Mask | None:
+        """The branches holding ``"1"`` at ``pos`` of ``track``, or ``None``
+        unless every branch holds a bit there."""
+        cell = self.tracks[track].get(pos)
+        full = (1 << self.width) - 1
+        if cell.__class__ is str:  # a bare symbol: the bit of every branch
+            return full if cell == "1" else 0 if cell == "0" else None
+        if cell and cell.keys() <= _BITS and cell.get("0", 0) | cell.get("1", 0) == full:
+            return cell.get("1", 0)
+        return None
 
     def live(self) -> int:
         """Number of branches in some group."""
@@ -555,10 +555,3 @@ class Planes:
                         held[pos] = sym
                         break
         return held
-
-    def branch(self, i: int) -> Configuration:
-        """Branch ``i`` read back as a configuration."""
-        bit = 1 << i
-        state = next(s for s, m in self.groups.items() if m & bit)
-        tracks = [self.symbols(t, i) for t in range(len(self.tracks))]
-        return make_configuration(state, tracks, self.heads)

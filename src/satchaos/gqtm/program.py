@@ -42,10 +42,8 @@ from ..config import (
 from ..sat import SatInstance, _variable_planes
 from .machine import (
     BLANK,
-    Configuration,
     Phase,
     TransitionFunction,
-    make_configuration,
     rule,
 )
 from .planes import Cell, LockstepError, Mask, Planes, canonical_cell
@@ -55,7 +53,6 @@ SQRT_HALF = 1.0 / math.sqrt(2.0)
 # Non-blank alphabets by track.
 INPUT_SYMBOLS = ("0", "1", "X", "Y", "C_S", "C_E")
 BIT_SYMBOLS = ("0", "1")
-_BITS = frozenset(BIT_SYMBOLS)
 COUNTER_SYMBOLS = ("0", "1", "A", "B")
 
 _ALPHABETS = {0: INPUT_SYMBOLS, 1: BIT_SYMBOLS, 2: BIT_SYMBOLS, 3: COUNTER_SYMBOLS}
@@ -360,14 +357,6 @@ def _input_planes(inst: SatInstance, width: int, entry: str,
     return Planes(width, (0, 0, 0, 0), {entry: (1 << width) - 1}, [track0, track1, {}, {}])
 
 
-def initial_configuration(machine: SatMachine, inst: SatInstance) -> Configuration:
-    symbols = encode_sat_input(inst)
-    track0 = {i: s for i, s in enumerate(symbols)}
-    return make_configuration(
-        machine.phase("setup").entry, [track0, {}, {}, {}], [0, 0, 0, 0]
-    )
-
-
 # --- running ----------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -417,9 +406,9 @@ def collapse(planes: Planes, machine: SatMachine) -> tuple[Mask, Mask]:
         )
     planes.run_phase(handoff)
     split = sorted(
-        pos for pos, cell in planes.tracks[3].items()
-        if cell.__class__ is not str  # a bare symbol reads the same on every branch
-        and any(sm & g not in (0, g) for sm in cell.values() for g in planes.groups.values())
+        pos for pos in planes.tracks[3]
+        if any(sm & g not in (0, g)
+               for sm in planes.cell(3, pos).values() for g in planes.groups.values())
     )
     if split:
         raise RuntimeError(
@@ -434,8 +423,7 @@ def _counter_planes(planes: Planes, idle: Mask) -> Planes:
     waiting branches that :func:`collapse` returns, read off track 3 alone.
 
     The collapse has blanked tracks 0-2 and left every waiting branch the
-    same track 3, so this equals ``Planes.from_configuration`` of that
-    branch, without reading it back as a configuration."""
+    same track 3, so this is that branch alone."""
     track3 = planes.symbols(3, (idle & -idle).bit_length() - 1)
     return Planes(1, planes.heads, {"loop_idle": 1}, [{}, {}, {}, track3])
 
@@ -582,20 +570,16 @@ def run_classical_branches(inst: SatInstance, assignments
 
 def _bit_plane(planes: Planes, track: int, pos: int, phase: Phase) -> Mask:
     """The branches holding 1 in one cell, which must hold a bit on every branch."""
-    cell = planes.tracks[track].get(pos)
-    if cell == "1":  # a bare symbol: the bit of every branch
-        return (1 << planes.width) - 1
-    if cell == "0":
-        return 0
-    cell = planes.cell(track, pos)
-    covered = cell.get("0", 0) | cell.get("1", 0)
-    if not cell.keys() <= _BITS or covered != (1 << planes.width) - 1:
+    ones = planes.ones(track, pos)
+    if ones is None:
+        cell = planes.cell(track, pos)
+        covered = cell.get("0", 0) | cell.get("1", 0)
         raise RuntimeError(
             f"track {track} cell {pos} holds {sorted(cell)} on {covered.bit_count()} "
             f"of {planes.width} branches after the {phase.name} phase, expected a "
             f"bit on every branch"
         )
-    return cell.get("1", 0)
+    return ones
 
 
 def run_classical_branch(inst: SatInstance, bits) -> tuple[tuple[int, ...], int]:

@@ -77,13 +77,13 @@ def apply_placed_gate(state: StateVector, gate: PlacedGate) -> StateVector:
     return StateVector(n, np.ascontiguousarray(tensor.reshape(-1)))
 
 
-def apply_sequence(state: StateVector, gates, check_norm: bool = True) -> StateVector:
-    """Apply gates in order; optionally enforce the accumulated norm budget."""
+def apply_sequence(state: StateVector, gates) -> StateVector:
+    """Apply gates in order, then enforce the accumulated norm budget."""
     gates = list(gates)
     for gate in gates:
         state = apply_placed_gate(state, gate)
-    if check_norm and gates:
-        budget = ACCUMULATED_ATOL * max(1, len(gates))
+    if gates:
+        budget = ACCUMULATED_ATOL * len(gates)
         drift = abs(state.norm_sq - 1.0)
         if drift > budget:
             raise ArithmeticError(

@@ -21,8 +21,6 @@ import numpy as np
 
 from .config import DEFAULT_MAX_ENUM_VARS, GuardExceeded
 
-Assignment = tuple[int, ...]
-
 # Variables held as planes within one chunk of assignments; the rest are
 # constant per chunk. 2^20 bits is a 128 KiB int per plane.
 CHUNK_VARS = 20
@@ -264,13 +262,6 @@ def eval_instance(inst: SatInstance, assignment) -> int:
         if not eval_clause(clause, assignment):
             return 0
     return 1
-
-
-def assignment_from_index(num_vars: int, index: int) -> Assignment:
-    """Bits of `index`; bit k-1 is variable k (matches basis-state indexing)."""
-    if not 0 <= index < (1 << num_vars):
-        raise ValueError(f"index {index} out of range for {num_vars} variables")
-    return tuple((index >> k) & 1 for k in range(num_vars))
 
 
 def _check_enum_guard(num_vars: int) -> None:

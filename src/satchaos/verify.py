@@ -166,8 +166,8 @@ def suite_gates(seed: int = DEFAULT_SEED) -> SuiteResult:
         amps /= np.linalg.norm(amps)
         state = StateVector(4, amps)
         for gate in scattered:
-            direct = apply_sequence(state, [gate], check_norm=False)
-            rewritten = apply_sequence(state, decompose(gate), check_norm=False)
+            direct = apply_sequence(state, [gate])
+            rewritten = apply_sequence(state, decompose(gate))
             dev = float(np.max(np.abs(direct.amplitudes - rewritten.amplitudes)))
             checks += 1
             if dev > SINGLE_OP_ATOL:

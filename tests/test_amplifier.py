@@ -70,6 +70,13 @@ def test_k_bounds_anchors():
         k_bounds(0, 1)
 
 
+@pytest.mark.parametrize("a", [1.5, 2.0])
+def test_k_bounds_claim_no_lower_bound_for_a_at_most_two(a):
+    """log2(a) - 1 <= 0: the formula's sign flips, or it divides by zero."""
+    for n, r in ((1, 1), (1, 2), (3, 1), (3, 8), (5, 20), (12, 1)):
+        assert k_bounds(n, r, a) == (0, (5 * (n - 1)) // 4), (n, r)
+
+
 def test_amplify_detect_worked_seed():
     trace = amplify_detect(0.5, 3)
     assert trace.x == (0.5, 0.9275)

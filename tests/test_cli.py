@@ -85,6 +85,13 @@ def test_solve_backends_agree(worked_path, capsys):
     assert circuit["machine"] is None
 
 
+@pytest.mark.parametrize("backend", ["circuit", "gqtm"])
+def test_solve_at_logistic_parameter_two(worked_path, backend, capsys):
+    assert main(["solve", worked_path, "--backend", backend, "--a", "2"]) == EXIT_OK
+    amplifier = json.loads(capsys.readouterr().out)["amplifier"]
+    assert amplifier["a"] == 2.0 and amplifier["k_low"] == 0
+
+
 def test_solve_writes_json_file(worked_path, tmp_path, capsys):
     out = tmp_path / "report.json"
     assert main(["solve", worked_path, "--json", str(out)]) == EXIT_OK
@@ -295,6 +302,11 @@ def test_trace_row_count_respects_window(worked_path, capsys):
     assert main(["trace", worked_path, "--backend", "gqtm"]) == EXIT_OK
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) - 1 <= iteration_window(3) + 1
+
+
+def test_trace_at_logistic_parameter_two(worked_path, capsys):
+    assert main(["trace", worked_path, "--a", "2"]) == EXIT_OK
+    assert capsys.readouterr().out.startswith("k,x_k,crossed\n")
 
 
 def test_trace_writes_csv_file(worked_path, tmp_path, capsys):
@@ -525,6 +537,12 @@ def test_sweep_csv_shape(capsys):
         assert row[6] == "1" and row[7] == "1"
     anchor = next(r for r in rows if r[0] == "3" and r[1] == "1")
     assert anchor[3] == "2"
+
+
+def test_sweep_at_logistic_parameter_two(capsys):
+    assert main(["sweep", "--n", "2..4", "--a", "2"]) == EXIT_OK
+    rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+    assert [row[4] for row in rows] == ["0", "0", "0"]  # k_low
 
 
 def test_sweep_rejects_bad_seeds(capsys):

@@ -8,13 +8,13 @@ from satchaos.config import UNITARITY_ATOL
 from satchaos.gates import (
     GateKind,
     PlacedGate,
+    append_polarized_copy,
+    append_polarized_or,
     check_gates,
     decompose,
     gate_matrix,
     hadamard_layer,
     placed,
-    polarized_copy,
-    polarized_or,
 )
 from satchaos.quantum import apply_sequence, basis_state
 
@@ -111,7 +111,8 @@ def test_decompose_structure():
 @pytest.mark.parametrize("neg_u", [False, True])
 @pytest.mark.parametrize("neg_v", [False, True])
 def test_polarized_or_truth_and_restoration(neg_u, neg_v):
-    seq = polarized_or(1, 2, 3, negate_u=neg_u, negate_v=neg_v)
+    seq = []
+    append_polarized_or(seq, 1, 2, 3, neg_u, neg_v)
     for i in range(8):
         state = apply_sequence(basis_state(3, i), seq)
         j = int(np.argmax(np.abs(state.amplitudes)))
@@ -123,7 +124,8 @@ def test_polarized_or_truth_and_restoration(neg_u, neg_v):
 
 @pytest.mark.parametrize("neg_u", [False, True])
 def test_polarized_copy(neg_u):
-    seq = polarized_copy(1, 2, negate_u=neg_u)
+    seq = []
+    append_polarized_copy(seq, 1, 2, neg_u)
     for i in range(4):
         state = apply_sequence(basis_state(2, i), seq)
         j = int(np.argmax(np.abs(state.amplitudes)))

@@ -44,7 +44,6 @@ from satchaos.gqtm.program import (
     _counter_planes,
     collapse,
     encode_sat_input,
-    initial_configuration,
     phase_and_eval,
     phase_compare,
     phase_dft,
@@ -71,6 +70,32 @@ WORKED = parse_dimacs("p cnf 3 3\n1 2 -3 0\n3 -2 0\n1 -2 -3 0\n")
 WORKED_ENCODING = "000XC_S110Y001C_EC_S001Y010C_EC_S100Y011C_E"
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
+
+
+# --- adapters between the reference's configurations and the planes ----------
+
+def initial_configuration(machine, inst):
+    """The SAT program's starting configuration, for the reference engine."""
+    track0 = dict(enumerate(encode_sat_input(inst)))
+    return make_configuration(machine.phase("setup").entry, [track0, {}, {}, {}], [0, 0, 0, 0])
+
+
+def planes_from_configuration(config):
+    """One configuration as a one-branch run on the planes."""
+    state, tapes, heads = config
+    tracks = [
+        {origin + i: sym for i, sym in enumerate(symbols) if sym != BLANK}
+        for origin, symbols in tapes
+    ]
+    return Planes(1, heads, {state: 1}, tracks)
+
+
+def branch_configuration(planes, i):
+    """Branch ``i`` of the planes read back as a configuration."""
+    bit = 1 << i
+    state = next(s for s, m in planes.groups.items() if m & bit)
+    tracks = [planes.symbols(t, i) for t in range(len(planes.tracks))]
+    return make_configuration(state, tracks, planes.heads)
 
 
 def small_cnfs_up_to(max_n: int, max_m: int = 4):
@@ -474,6 +499,8 @@ def test_replay_readout_refuses_a_cell_without_a_bit(width):
     for cell, held, covered in (
         ({"1": full >> 1, "A": 1 << (width - 1)}, r"\['1', 'A'\]", width - 1),
         ({"A": full}, r"\['A'\]", 0),  # a non-bit symbol on every branch
+        ("A", r"\['A'\]", 0),  # the same, as a bare symbol
+        ({"0": 1, "1": 2}, r"\['0', '1'\]", 2),  # bits on two branches only
     ):
         planes = Planes(width, (0, 0, 0, 0), {}, [{}, {}, {}, {0: cell}])
         with pytest.raises(RuntimeError, match=rf"{held} on {covered} of {width}"):
@@ -582,7 +609,7 @@ def _unitary_stage(inst):
 
 def _planes_stage(inst, on_step=None):
     machine = sat_machine(inst.num_vars)
-    planes = Planes.from_configuration(initial_configuration(machine, inst))
+    planes = planes_from_configuration(initial_configuration(machine, inst))
     steps = sum(planes.run_phase(machine.phase(name), on_step) for name in UNITARY_STAGE)
     return machine, planes, steps
 
@@ -592,7 +619,7 @@ def _amplitudes(planes):
     scale = 2 ** (-planes.forks / 2)
     amplitudes = {}
     for i in range(planes.width):
-        config = planes.branch(i)
+        config = branch_configuration(planes, i)
         amp = -scale if planes.sign >> i & 1 else scale
         amplitudes[config] = amplitudes.get(config, 0.0) + amp
     return amplitudes
@@ -648,7 +675,7 @@ def test_one_pass_collapse_matches_per_component_reference():
         accept, idle = collapse(planes, machine)
         # Every branch of a mask is one configuration (collapse checks it).
         planes_pass = {
-            planes.branch(_lowest(m)): planes.mass(m.bit_count())
+            branch_configuration(planes, _lowest(m)): planes.mass(m.bit_count())
             for m in (accept, idle) if m
         }
         assert dict_pass.keys() == planes_pass.keys() == reference.keys(), inst
@@ -672,7 +699,7 @@ def test_counter_planes_are_the_lowest_waiting_branch(num_vars):
         _, idle = collapse(planes, machine)
         if not idle:
             continue
-        reference = Planes.from_configuration(planes.branch(_lowest(idle)))
+        reference = planes_from_configuration(branch_configuration(planes, _lowest(idle)))
         assert _snapshot(_counter_planes(planes, idle)) == _snapshot(reference), inst
 
 

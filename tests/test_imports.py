@@ -131,6 +131,8 @@ REFERENCE_ENGINES = (
     "satchaos.gqtm.machine.run_phase",
     "satchaos.gqtm.machine.rebase",
     "satchaos.gqtm.machine.ConfigSuperposition",
+    "satchaos.gqtm.machine.Configuration",
+    "satchaos.gqtm.machine.make_configuration",
 )
 # What solve, trace and run_sat_gqtm run. ``verify.py`` is not among them:
 # its interference check steps the reference on purpose.

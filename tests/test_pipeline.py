@@ -1,10 +1,15 @@
+import copy
+import pickle
+
 import pytest
 
 import satchaos
 import satchaos.circuit
 import satchaos.gqtm
 from satchaos import GuardExceeded, instance_from_ints, parse_dimacs, solve
-from satchaos.verify import EDGE_INSTANCES
+from satchaos.gates import GateKind, placed
+from satchaos.gqtm.machine import make_configuration
+from satchaos.verify import EDGE_INSTANCES, suite_bounds
 
 WORKED = parse_dimacs("p cnf 3 3\n1 2 -3 0\n3 -2 0\n1 -2 -3 0\n")
 
@@ -43,3 +48,24 @@ def test_unknown_backend():
 @pytest.mark.parametrize("module", [satchaos, satchaos.gqtm])
 def test_every_exported_name_resolves(module):
     assert [name for name in module.__all__ if not hasattr(module, name)] == []
+
+
+# SatMachine is left out: its tables compare by identity, so a round-tripped
+# copy is unequal to the original by design.
+PUBLIC_VALUES = {
+    "Configuration": lambda: make_configuration("q", [{0: "1", -2: "X"}], [0]),
+    "PlacedGate": lambda: placed(GateKind.OR, 1, 2, 3),
+    "SatInstance": lambda: WORKED,
+    "CircuitLayout": lambda: satchaos.circuit.layout(WORKED),
+    "CircuitRun": lambda: satchaos.circuit.run(WORKED),
+    "GqtmRun": lambda: satchaos.gqtm.run_sat_gqtm(WORKED),
+    "SolveReport": lambda: solve(WORKED, "gqtm"),
+    "SuiteResult": lambda: suite_bounds(2, 4),
+}
+
+
+@pytest.mark.parametrize("name", PUBLIC_VALUES)
+def test_public_values_survive_pickle_and_deepcopy(name):
+    value = PUBLIC_VALUES[name]()
+    for twin in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value)):
+        assert type(twin) is type(value) and twin == value

@@ -10,7 +10,6 @@ from satchaos.sat import (
     Clause,
     DimacsError,
     Literal,
-    assignment_from_index,
     count_models,
     count_models_clausewise,
     eval_clause,
@@ -183,15 +182,6 @@ def test_edge_model_counts():
     assert count_models(instance_from_ints(2, [[1], [-2]])) == 1
 
 
-def test_assignment_indexing_is_bit_k_minus_1():
-    assert assignment_from_index(3, 5) == (1, 0, 1)
-    assert [assignment_from_index(2, i) for i in range(4)] == [
-        (0, 0), (1, 0), (0, 1), (1, 1),
-    ]
-    with pytest.raises(ValueError):
-        assignment_from_index(2, 4)
-
-
 def test_variable_planes_hold_each_assignment_bit():
     for n in range(1, 13):
         planes = satchaos.sat._variable_planes(n)
@@ -267,6 +257,11 @@ clause_lists = st.integers(1, 5).flatmap(
 )
 
 
+def _assignment(n, index):
+    """The bits of ``index``; bit k-1 is variable k, as in basis-state indexing."""
+    return tuple(index >> k & 1 for k in range(n))
+
+
 @given(clause_lists)
 @settings(max_examples=200, deadline=None)
 def test_model_counters_agree(data):
@@ -276,7 +271,7 @@ def test_model_counters_agree(data):
     slow = count_models_clausewise(inst)
     assert fast == slow
     assert fast == sum(
-        eval_instance(inst, assignment_from_index(n, i)) for i in range(1 << n)
+        eval_instance(inst, _assignment(n, i)) for i in range(1 << n)
     )
 
 
@@ -287,7 +282,7 @@ def test_satisfying_indices_match_eval(data):
     inst = instance_from_ints(n, cls)
     indices = set(satisfying_indices(inst).tolist())
     for index in range(1 << n):
-        bits = assignment_from_index(n, index)
+        bits = _assignment(n, index)
         assert (index in indices) == bool(eval_instance(inst, bits))
 
 
