@@ -14,7 +14,14 @@ Three cooperating engines:
 Both backends agree with a brute-force model counter to float precision.
 :func:`solve` runs the whole pipeline on either one; the ``satchaos`` command
 line exposes solve/trace/verify/sweep workflows.
+
+The pipeline runs on plain integers. Only the dense statevector reference
+(:mod:`satchaos.quantum`) and the self-checks (:mod:`satchaos.verify`) use
+numpy, so ``import satchaos`` imports neither: the two submodules, and the
+names exported from ``quantum``, load on first use through :func:`__getattr__`.
 """
+
+import importlib
 
 from .amplifier import (
     AmplifierTrace,
@@ -27,10 +34,9 @@ from .amplifier import (
 )
 from .circuit import CircuitLayout, CircuitRun, build_circuit, layout, run, sat_decision_exact
 from .config import GuardExceeded
-from .gates import GateKind, PlacedGate, check_gates, decompose, gate_matrix, placed
+from .gates import GateKind, PlacedGate, check_gates, decompose, placed
 from .gqtm import GqtmRun, check_wellformed, dump_transition, run_sat_gqtm, sat_machine
 from .pipeline import SolveReport, solve
-from .quantum import StateVector, apply_placed_gate, apply_sequence, basis_state
 from .sat import (
     Clause,
     DimacsError,
@@ -40,11 +46,35 @@ from .sat import (
     eval_instance,
     instance_from_ints,
     parse_dimacs,
-    satisfying_indices,
     to_dimacs,
 )
 
 __version__ = "0.1.0"
+
+# Exported names defined in satchaos.quantum, which imports numpy.
+_QUANTUM_NAMES = frozenset({
+    "StateVector",
+    "apply_placed_gate",
+    "apply_sequence",
+    "basis_state",
+    "gate_matrix",
+    "satisfying_indices",
+})
+
+
+def __getattr__(name):
+    """Load a reference name, or the ``quantum`` or ``verify`` submodule, on
+    first access (PEP 562).
+
+    Nothing is cached here: a submodule, once imported, is an attribute of
+    the package, and a name is read from its module on each access.
+    """
+    if name in ("quantum", "verify"):
+        return importlib.import_module(f"{__name__}.{name}")
+    if name in _QUANTUM_NAMES:
+        return getattr(importlib.import_module(f"{__name__}.quantum"), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "AmplifierTrace",

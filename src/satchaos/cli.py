@@ -6,7 +6,8 @@ or ``RuntimeError`` such as norm drift or a stuck machine). Reports are JSON,
 exactly the text of ``json.dumps(report, indent=2, sort_keys=True)``; traces
 and sweeps are CSV. Input files are read as UTF-8 whatever the locale.
 ``solve --deterministic`` drops the wall-clock timings, so identical flags
-give byte-identical reports; the other commands emit no timings.
+give byte-identical reports; the other commands emit no timings. Only
+``verify`` loads :mod:`satchaos.verify`, and numpy with it, on its first call.
 """
 
 from __future__ import annotations
@@ -18,11 +19,18 @@ import sys
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
+import satchaos
+
 from .amplifier import LogisticParams, sweep_crossing_bounds
-from .config import DEFAULT_LOGISTIC_A, DEFAULT_THRESHOLD, GuardExceeded
+from .config import (
+    DEFAULT_LOGISTIC_A,
+    DEFAULT_SEED,
+    DEFAULT_THRESHOLD,
+    GuardExceeded,
+    VERIFY_SUITES,
+)
 from .pipeline import BACKENDS, solve
 from .sat import DimacsError, count_models, parse_dimacs
-from .verify import DEFAULT_SEED, SUITES
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -94,7 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
     trace.add_argument("--csv", metavar="PATH", help="write the trace here instead of stdout")
 
     verify = commands.add_parser("verify", help="run a verification suite")
-    verify.add_argument("suite", choices=sorted(SUITES) + ["all"])
+    verify.add_argument("suite", choices=[*VERIFY_SUITES, "all"])
     verify.add_argument("--seed", type=int, default=DEFAULT_SEED)
     verify.add_argument("--count", type=_int_at_least(0), default=100,
                         help="random instances for the oracle suite")
@@ -240,12 +248,13 @@ def cmd_trace(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    names = sorted(SUITES) if args.suite == "all" else [args.suite]
+    suites = satchaos.verify.SUITES  # read at call time: imports verify on first use
+    names = sorted(suites) if args.suite == "all" else [args.suite]
     kwargs = {
         "oracle": {"count": args.count, "max_n": args.max_n, "seed": args.seed},
         "bounds": {"n_lo": args.n[0], "n_hi": args.n[1]},
     }
-    results = [SUITES[name](**kwargs.get(name, {"seed": args.seed})) for name in names]
+    results = [suites[name](**kwargs.get(name, {"seed": args.seed})) for name in names]
     report = {
         "ok": all(r.ok for r in results),
         "suites": [

@@ -1,7 +1,9 @@
 """Global tolerances and resource guards.
 
 Every numeric tolerance used across the package lives here so that tests,
-the CLI, and library callers agree on one set of constants.
+the CLI, and library callers agree on one set of constants. So do the names
+and default seed of the ``verify`` suites, which the CLI's parser needs
+without importing :mod:`satchaos.verify` and numpy.
 """
 
 # Numerical tolerances.
@@ -23,6 +25,10 @@ DEFAULT_MAX_MACHINE_VARS = 16  # superposed machine runs: 2^n-bit planes
 # Amplifier defaults.
 DEFAULT_LOGISTIC_A = 3.71
 DEFAULT_THRESHOLD = 0.5
+
+# The verify suites, by name, and the seed of their random corpora.
+VERIFY_SUITES = ("bounds", "gates", "oracle", "tables")
+DEFAULT_SEED = 20260816
 
 
 class GuardExceeded(RuntimeError):

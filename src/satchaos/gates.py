@@ -3,9 +3,11 @@
 All multi-qubit gates except H are permutations of basis states: the last
 position is a target that gets XORed with a boolean function of the earlier
 positions (NOT/CN/CCN flip on none/one/two controls; AND, OR, COPY fold the
-corresponding connective into the target). Local matrices index their inputs
-with slot 0 as the least-significant bit, matching the register convention
-that lower qubit numbers vary faster.
+corresponding connective into the target). The truth tables here define
+every gate; the dense reference builds its local matrices from them
+(:func:`satchaos.quantum.gate_matrix`), indexing their inputs with slot 0 as
+the least-significant bit, matching the register convention that lower qubit
+numbers vary faster. This module imports no numpy.
 
 A :class:`PlacedGate` is a plain tuple ``(kind, positions)``, like
 :class:`satchaos.gqtm.machine.Configuration`, so building one costs one
@@ -19,10 +21,7 @@ it on every gate that ``build_circuit`` emits for its corpus.
 from __future__ import annotations
 
 import enum
-from functools import cache
 from operator import itemgetter
-
-import numpy as np
 
 
 class GateKind(enum.Enum):
@@ -103,25 +102,6 @@ def check_gates(gates, num_qubits: int) -> None:
         for p in positions:
             if not 1 <= p <= num_qubits:
                 raise ValueError(f"gate position {p} out of range 1..{num_qubits}")
-
-
-@cache
-def gate_matrix(kind: GateKind) -> np.ndarray:
-    """Local unitary of the gate; 2^arity square, slot 0 = least significant bit."""
-    if kind is GateKind.H:
-        mat = np.array([[1, 1], [1, -1]], dtype=np.complex128) / np.sqrt(2.0)
-    else:
-        arity = GATE_ARITY[kind]
-        flip = _TARGET_FLIP[kind]
-        dim = 1 << arity
-        mat = np.zeros((dim, dim), dtype=np.complex128)
-        for i in range(dim):
-            bits = [(i >> t) & 1 for t in range(arity)]
-            bits[-1] ^= flip(bits[:-1])
-            j = sum(b << t for t, b in enumerate(bits))
-            mat[j, i] = 1.0
-    mat.setflags(write=False)  # instances are cached and shared
-    return mat
 
 
 def decompose(gate: PlacedGate) -> GateSequence:

@@ -2,9 +2,13 @@
 
 ``solve`` runs the whole pipeline on the chosen backend. The circuit backend
 reads q² = r/2^n off the bit-plane simulation, snaps it to the dyadic grid
-and drives it through the logistic map; the machine backend runs the same
-pipeline as one quantum Turing machine program, amplification included. Both
-fill the same :class:`SolveReport`.
+and drives it through the logistic map. The machine backend runs the unitary
+stage and the collapse as quantum Turing machine phases, which leave the same
+weight r/2^n on the accepting branches. In its detection loop the machine's
+tables step only the iteration counter (``compare``, ``increment``); the host
+applies the logistic map to the weight between those steps
+(:func:`~satchaos.gqtm.program.run_sat_gqtm`). Both fill the same
+:class:`SolveReport`.
 """
 
 from __future__ import annotations

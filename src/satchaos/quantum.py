@@ -4,16 +4,69 @@ Qubits are 1-based and qubit 1 is the fastest-varying bit of the basis index:
 basis state |i⟩ assigns qubit k the value of bit k-1 of i. Gates are applied
 by reshaping the amplitude vector to a rank-N tensor and contracting the
 target axes — never by materializing a 2^N x 2^N matrix.
+
+This is the reference the integer engines are held to, and with
+:mod:`satchaos.verify` the only module that imports numpy. So it also holds
+the package's other two numpy functions: :func:`gate_matrix`, each gate's
+local unitary built from the truth tables in :mod:`satchaos.gates`, and
+:func:`satisfying_indices`, the vectorized twin of the oracle. ``solve``,
+``trace`` and ``sweep`` never import it; ``satchaos.StateVector`` and the
+other names it exports load it on first use.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
 from .config import ACCUMULATED_ATOL, DEFAULT_MAX_QUBITS, GuardExceeded
-from .gates import GATE_ARITY, PlacedGate, check_gates, gate_matrix
+from .gates import _TARGET_FLIP, GATE_ARITY, GateKind, PlacedGate, check_gates
+from .sat import CHUNK_VARS, SatInstance, _check_enum_guard
+
+
+@cache
+def gate_matrix(kind: GateKind) -> np.ndarray:
+    """Local unitary of the gate; 2^arity square, slot 0 = least significant bit."""
+    if kind is GateKind.H:
+        mat = np.array([[1, 1], [1, -1]], dtype=np.complex128) / np.sqrt(2.0)
+    else:
+        arity = GATE_ARITY[kind]
+        flip = _TARGET_FLIP[kind]
+        dim = 1 << arity
+        mat = np.zeros((dim, dim), dtype=np.complex128)
+        for i in range(dim):
+            bits = [(i >> t) & 1 for t in range(arity)]
+            bits[-1] ^= flip(bits[:-1])
+            j = sum(b << t for t, b in enumerate(bits))
+            mat[j, i] = 1.0
+    mat.setflags(write=False)  # instances are cached and shared
+    return mat
+
+
+def satisfying_indices(inst: SatInstance) -> np.ndarray:
+    """Indices (= assignments as integers) that satisfy the instance.
+
+    Vectorized over clause bitmasks with numpy, one chunk of assignments at
+    a time. This path is deliberately independent of eval_clause and of
+    count_models' planes: it is the reference both are checked against.
+    """
+    n = inst.num_vars
+    _check_enum_guard(n)
+    masks = [c.masks() for c in inst.clauses]
+    chunk = 1 << min(n, CHUNK_VARS)
+    found = []
+    for start in range(0, 1 << n, chunk):
+        a = np.arange(start, start + chunk, dtype=np.uint64)
+        sat = np.ones(a.shape, dtype=bool)
+        for pos, neg in masks:
+            clause_sat = (a & np.uint64(pos)) != 0
+            if neg:
+                clause_sat |= (~a & np.uint64(neg)) != 0
+            sat &= clause_sat
+        found.append(a[sat])
+    return np.concatenate(found)
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,10 @@ mean the same thing.
 The oracle, :func:`count_models`, counts on bit planes of its own: each
 variable is one Python int over a chunk of up to 2^20 assignments (bit i is
 its value under assignment i), so memory stays bounded at any n the guard
-allows. It reads only the clauses, never a gate list.
+allows. It reads only the clauses, never a gate list. Its two twins are
+:func:`count_models_clausewise` here and the numpy
+:func:`satchaos.quantum.satisfying_indices`, kept with the dense reference so
+that this module imports no numpy.
 """
 
 from __future__ import annotations
@@ -16,8 +19,6 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from .config import DEFAULT_MAX_ENUM_VARS, GuardExceeded
 
@@ -270,30 +271,6 @@ def _check_enum_guard(num_vars: int) -> None:
             f"enumeration over {num_vars} variables exceeds the guard of "
             f"{DEFAULT_MAX_ENUM_VARS}"
         )
-
-
-def satisfying_indices(inst: SatInstance) -> np.ndarray:
-    """Indices (= assignments as integers) that satisfy the instance.
-
-    Vectorized over clause bitmasks with numpy, one chunk of assignments at
-    a time. This path is deliberately independent of eval_clause and of
-    count_models' planes: it is the reference both are checked against.
-    """
-    n = inst.num_vars
-    _check_enum_guard(n)
-    masks = [c.masks() for c in inst.clauses]
-    chunk = 1 << min(n, CHUNK_VARS)
-    found = []
-    for start in range(0, 1 << n, chunk):
-        a = np.arange(start, start + chunk, dtype=np.uint64)
-        sat = np.ones(a.shape, dtype=bool)
-        for pos, neg in masks:
-            clause_sat = (a & np.uint64(pos)) != 0
-            if neg:
-                clause_sat |= (~a & np.uint64(neg)) != 0
-            sat &= clause_sat
-        found.append(a[sat])
-    return np.concatenate(found)
 
 
 def _variable_planes(num_vars: int) -> list[int]:

@@ -21,11 +21,18 @@ import numpy as np
 
 from .amplifier import amplify_detect, sweep_crossing_bounds
 from .circuit import build_circuit, layout, run as circuit_run, sat_decision_exact
-from .config import CROSS_BACKEND_ATOL, ORACLE_ATOL, SINGLE_OP_ATOL, UNITARITY_ATOL
-from .gates import GateKind, check_gates, decompose, gate_matrix, placed
+from .config import (
+    CROSS_BACKEND_ATOL,
+    DEFAULT_SEED,
+    ORACLE_ATOL,
+    SINGLE_OP_ATOL,
+    UNITARITY_ATOL,
+    VERIFY_SUITES,
+)
+from .gates import GateKind, check_gates, decompose, placed
 from .gqtm.machine import ConfigSuperposition, check_wellformed, make_configuration, step
 from .gqtm.program import run_classical_branches, run_sat_gqtm, sat_machine
-from .quantum import StateVector, apply_sequence, basis_state
+from .quantum import StateVector, apply_sequence, basis_state, gate_matrix
 from .sat import (
     SatInstance,
     count_models,
@@ -35,7 +42,6 @@ from .sat import (
     to_dimacs,
 )
 
-DEFAULT_SEED = 20260816
 MAX_TOTAL_QUBITS = 20  # circuit width a random instance may lay out to
 RANDOM_STATES = 100  # random 4-qubit states the gates suite rewrites
 GATE_INSTANCES = 40  # seeded instances whose circuits the gates suite checks
@@ -429,9 +435,7 @@ def suite_tables(seed: int = DEFAULT_SEED) -> SuiteResult:
     return SuiteResult("tables", checks, tuple(findings), seed=seed)
 
 
-SUITES = {
-    "gates": suite_gates,
-    "bounds": suite_bounds,
-    "oracle": suite_oracle,
-    "tables": suite_tables,
-}
+# The names live in config.py, where the CLI's parser reads them without
+# importing this module.
+SUITES = dict(zip(VERIFY_SUITES, (suite_bounds, suite_gates, suite_oracle, suite_tables),
+                  strict=True))

@@ -26,7 +26,7 @@ from satchaos.amplifier import (
 )
 from satchaos.circuit import build_circuit, layout
 from satchaos.circuit import run as circuit_run
-from satchaos.gates import GateKind, decompose, gate_matrix, placed
+from satchaos.gates import GateKind, decompose, placed
 from satchaos.gqtm.machine import (
     ConfigSuperposition,
     check_wellformed,
@@ -34,7 +34,7 @@ from satchaos.gqtm.machine import (
     step,
 )
 from satchaos.gqtm.program import run_classical_branch, run_sat_gqtm, sat_machine
-from satchaos.quantum import StateVector, apply_placed_gate, apply_sequence
+from satchaos.quantum import StateVector, apply_placed_gate, apply_sequence, gate_matrix
 from satchaos.sat import (
     count_models,
     eval_clause,

@@ -12,11 +12,10 @@ from satchaos.gates import (
     append_polarized_or,
     check_gates,
     decompose,
-    gate_matrix,
     hadamard_layer,
     placed,
 )
-from satchaos.quantum import apply_sequence, basis_state
+from satchaos.quantum import apply_sequence, basis_state, gate_matrix
 
 
 @pytest.mark.parametrize("kind", list(GateKind))

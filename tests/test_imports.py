@@ -1,16 +1,23 @@
 """Every name a module imports is used in it, every import in ``src/`` sits
-at module level, every runtime dependency is imported by the package, and
-the request path imports no reference engine.
+at module level (but for one lazy seam), every runtime dependency is imported
+by the package, and the request path imports no reference engine and no
+numpy.
 
 Package ``__init__.py`` files are skipped by the unused-name scan: their
 imports are re-exports.
 """
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
+
+import satchaos
+from satchaos.config import VERIFY_SUITES
 
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted(
@@ -65,13 +72,21 @@ def test_no_unused_imports():
     assert found == []
 
 
+# Calls that import a module as an import statement would.
+IMPORT_CALLS = {"__import__", "import_module", "importlib.import_module"}
+
+
 def imports_in_functions(source: str) -> list[tuple[int, str]]:
-    """(line, innermost function) of every import inside a function body."""
+    """(line, innermost function) of every import inside a function body: an
+    import statement, or a call of ``__import__`` or ``importlib.import_module``."""
     found = []
 
     def visit(node, function):
         for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.Import, ast.ImportFrom)) and function:
+            if function and (
+                isinstance(child, (ast.Import, ast.ImportFrom))
+                or isinstance(child, ast.Call) and _dotted(child.func) in IMPORT_CALLS
+            ):
                 found.append((child.lineno, function))
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 visit(child, child.name)
@@ -87,17 +102,29 @@ def test_imports_in_functions_are_found():
         "import os\n"
         "def f():\n    import json\n    def g():\n        from x import y\n"
         "class C:\n    def m(self):\n        import re\n"
+        "def h(name):\n    return importlib.import_module(name)\n"
+        "def k():\n    return __import__('json')\n"
+        "importlib.import_module('re')\n"
     )
-    assert imports_in_functions(source) == [(3, "f"), (5, "g"), (8, "m")]
+    assert imports_in_functions(source) == [(3, "f"), (5, "g"), (8, "m"), (10, "h"), (12, "k")]
+
+
+# The one function in src/ that imports: the package's PEP 562 __getattr__,
+# which loads the numpy reference modules on first use.
+IMPORT_SEAMS = {("src/satchaos/__init__.py", "__getattr__")}
 
 
 def test_no_imports_inside_functions_in_src():
     found = [
-        f"{path.relative_to(ROOT)}:{line}: in {name}()"
+        (path.relative_to(ROOT).as_posix(), line, name)
         for path in (ROOT / "src").rglob("*.py")
         for line, name in imports_in_functions(path.read_text())
     ]
-    assert found == []
+    assert {(path, name) for path, _, name in found} >= IMPORT_SEAMS
+    assert [
+        f"{path}:{line}: in {name}()"
+        for path, line, name in found if (path, name) not in IMPORT_SEAMS
+    ] == []
 
 
 def test_every_dependency_is_imported():
@@ -122,10 +149,12 @@ def test_every_dependency_is_imported():
     assert [name for name in declared if name not in imported] == []
 
 
-# The engines the tests hold the fast ones to: the dense statevector, and the
-# rule-by-rule machine with its superpositions.
+# What the request path may not import. These modules, with every name in
+# them: numpy, and the two modules that use it, the dense statevector and the
+# self-checks.
+REFERENCE_MODULES = ("numpy", "satchaos.quantum", "satchaos.verify")
+# These names: the rule-by-rule machine with its superpositions.
 REFERENCE_ENGINES = (
-    "satchaos.quantum",
     "satchaos.gqtm.machine",  # the module itself would reach its step
     "satchaos.gqtm.machine.step",
     "satchaos.gqtm.machine.run_phase",
@@ -134,9 +163,19 @@ REFERENCE_ENGINES = (
     "satchaos.gqtm.machine.Configuration",
     "satchaos.gqtm.machine.make_configuration",
 )
-# What solve, trace and run_sat_gqtm run. ``verify.py`` is not among them:
-# its interference check steps the reference on purpose.
-REQUEST_PATH = ("circuit.py", "pipeline.py", "gqtm/program.py", "gqtm/planes.py")
+# What solve, trace, sweep and run_sat_gqtm run. ``verify.py`` is not among
+# them: its interference check steps the reference on purpose.
+REQUEST_PATH = (
+    "__init__.py",
+    "amplifier.py",
+    "circuit.py",
+    "cli.py",
+    "gates.py",
+    "pipeline.py",
+    "sat.py",
+    "gqtm/program.py",
+    "gqtm/planes.py",
+)
 
 
 def imported_names(source: str, package: str) -> list[tuple[int, str]]:
@@ -157,7 +196,8 @@ def imported_names(source: str, package: str) -> list[tuple[int, str]]:
 def reference_imports(source: str, package: str) -> list[tuple[int, str]]:
     return [
         (line, name) for line, name in imported_names(source, package)
-        if name in REFERENCE_ENGINES or name.startswith("satchaos.quantum.")
+        if name in REFERENCE_ENGINES
+        or any(name == module or name.startswith(module + ".") for module in REFERENCE_MODULES)
     ]
 
 
@@ -168,12 +208,21 @@ def test_reference_imports_are_found():
         "from ..quantum import StateVector\n"
         "import satchaos.gqtm.machine\n"
         "from .planes import Planes\n"
+        "import numpy as np\n"
+        "from numpy.linalg import norm\n"
+        "from .. import verify\n"
+        "from ..verify import SUITES\n"
+        "import numbers, satchaos\n"
     )
     assert reference_imports(source, "satchaos.gqtm") == [
         (1, "satchaos.gqtm.machine.run_phase"),
         (2, "satchaos.quantum"),
         (3, "satchaos.quantum.StateVector"),
         (4, "satchaos.gqtm.machine"),
+        (6, "numpy"),
+        (7, "numpy.linalg.norm"),
+        (8, "satchaos.verify"),
+        (9, "satchaos.verify.SUITES"),
     ]
 
 
@@ -187,3 +236,65 @@ def test_request_path_imports_no_reference_engine():
         )
     ]
     assert found == []
+
+
+# A child interpreter that imports the package, runs solve on both backends,
+# trace, sweep and run_sat_gqtm, and exits nonzero at the first step that
+# imported numpy.
+_NUMPY_FREE = """
+import sys
+
+def numpy_free(step):
+    if "numpy" in sys.modules:
+        sys.exit(f"{step} imported numpy")
+
+import satchaos
+numpy_free("import satchaos")
+from satchaos.cli import main
+numpy_free("import satchaos.cli")
+path = sys.argv[1]
+for argv in (["solve", path], ["solve", path, "--backend", "gqtm"], ["trace", path],
+             ["sweep", "--n", "2..6", "--r", "1,3"]):
+    assert main(argv) == 0, argv
+    numpy_free(" ".join(argv))
+with open(path) as file:
+    assert satchaos.run_sat_gqtm(satchaos.parse_dimacs(file.read())).q_squared == 0.5
+numpy_free("run_sat_gqtm")
+"""
+
+
+def _python(tmp_path, *args):
+    src = str(Path(satchaos.__file__).resolve().parent.parent)
+    return subprocess.run(
+        [sys.executable, *args], cwd=tmp_path, env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, timeout=120,
+    )
+
+
+def test_request_path_runs_without_numpy(tmp_path):
+    path = tmp_path / "worked.cnf"
+    path.write_text("p cnf 3 3\n1 2 -3 0\n3 -2 0\n1 -2 -3 0\n")
+    done = _python(tmp_path, "-c", _NUMPY_FREE, str(path))
+    assert done.returncode == 0, done.stderr
+
+
+def test_verify_loads_its_suites_on_first_use(tmp_path):
+    code = "import sys; from satchaos.cli import main; sys.exit(main(['verify', 'gates']))"
+    done = _python(tmp_path, "-c", code)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("gates: OK")
+
+
+def test_every_export_is_its_defining_modules_object():
+    exported = {name: getattr(satchaos, name) for name in satchaos.__all__}
+    for name, value in exported.items():
+        if name != "__version__":
+            assert getattr(sys.modules[value.__module__], name) is value, name
+    star = {}
+    exec("from satchaos import *", star)
+    assert {name: star[name] for name in satchaos.__all__} == exported
+    assert not hasattr(satchaos, "no_such_name")
+
+
+def test_suite_names_are_the_verify_suites():
+    assert list(VERIFY_SUITES) == sorted(satchaos.verify.SUITES)

@@ -17,9 +17,9 @@ from satchaos.sat import (
     eval_literal,
     instance_from_ints,
     parse_dimacs,
-    satisfying_indices,
     to_dimacs,
 )
+from satchaos.quantum import satisfying_indices
 
 WORKED = "p cnf 3 3\n1 2 -3 0\n3 -2 0\n1 -2 -3 0\n"
 
