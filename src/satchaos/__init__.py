@@ -11,9 +11,9 @@ Three cooperating engines:
   program: unitary stage, measurement/erasure channel, counter-bounded
   detection loop (:mod:`satchaos.gqtm`).
 
-Both backends agree with a brute-force model counter to float precision.
-:func:`solve` runs the whole pipeline on either one; the ``satchaos`` command
-line exposes solve/trace/verify/sweep workflows.
+Both backends count the models r exactly and agree with a brute-force model
+counter as integers. :func:`solve` runs the whole pipeline on either one; the
+``satchaos`` command line exposes solve/trace/verify/sweep workflows.
 
 The pipeline runs on plain integers. Only the dense statevector reference
 (:mod:`satchaos.quantum`) and the self-checks (:mod:`satchaos.verify`) use

@@ -33,7 +33,6 @@ from ..amplifier import (
     iteration_window,
     k_bounds,
     logistic_step,
-    snap_dyadic,
 )
 from ..config import (
     DEFAULT_MAX_MACHINE_VARS,
@@ -366,9 +365,9 @@ class GqtmRun:
     decision: str                     # SAT | UNSAT | INCONCLUSIVE
     k_star: int | None
     trace: AmplifierTrace
-    q_squared: float                  # dyadic readout r/2^n
-    r_estimate: int
-    weights_raw: tuple[float, float]  # (result-0 weight, result-1 weight) pre-snap
+    q_squared: float                  # r/2^n, from the exact count r
+    models: int                       # r: the accepting branches
+    weights_raw: tuple[float, float]  # (result-0 weight, result-1 weight)
     branch_count: int
     unitary_steps: int
 
@@ -443,7 +442,7 @@ def run_sat_gqtm(inst: SatInstance, params: LogisticParams = LogisticParams(), *
     until it crosses (satisfiable) or the counter, stepped on one waiting
     branch, reaches the iteration limit (unsatisfiable when the weight is
     exactly zero). An invariant break raises ``ArithmeticError`` (norm,
-    trace, a weight off the 2^-n grid) or ``RuntimeError``
+    trace) or ``RuntimeError``
     (:class:`~.planes.LockstepError` among them).
     """
     n = inst.num_vars
@@ -474,9 +473,10 @@ def run_sat_gqtm(inst: SatInstance, params: LogisticParams = LogisticParams(), *
     for name in UNITARY_STAGE:
         steps += planes.run_phase(machine.phase(name), on_step)
     live = planes.live()
-    norm = planes.mass(live)
-    if norm != 1.0:
-        raise ArithmeticError(f"norm drifted to {norm!r} during the unitary stage")
+    if live != planes.width:
+        raise ArithmeticError(
+            f"norm drifted to {planes.mass(live)!r} during the unitary stage"
+        )
 
     # Track 1 holds each assignment on its own branch: variable k sits at
     # index bit n-1-k, so all 2^n branches are distinct configurations.
@@ -490,14 +490,11 @@ def run_sat_gqtm(inst: SatInstance, params: LogisticParams = LogisticParams(), *
             "branches may coincide, and the planes cannot weigh their interference"
         )
     accept, idle = collapse(planes, machine)
-    w1_raw = planes.mass(accept.bit_count())
+    models = accept.bit_count()
+    q_squared = planes.mass(models)  # r/2^n: width == 2^n, so forks == n
     w0_raw = planes.mass(idle.bit_count())
     results = (accept != 0) + (idle != 0)  # result values present
-
-    q_squared, r_estimate = snap_dyadic(w1_raw, n)
-    if q_squared != w1_raw:
-        raise ArithmeticError(f"result weight {w1_raw!r} is not a multiple of 2^-{n}")
-    bounds = k_bounds(n, r_estimate, params.a) if r_estimate >= 1 else None
+    bounds = k_bounds(n, models, params.a) if models else None
 
     loop = _counter_planes(planes, idle) if idle else None
     xs = [q_squared]
@@ -525,8 +522,8 @@ def run_sat_gqtm(inst: SatInstance, params: LogisticParams = LogisticParams(), *
 
     trace = AmplifierTrace(tuple(xs), k_star, decision, bounds, params)
     return GqtmRun(
-        decision, k_star, trace, q_squared, r_estimate,
-        (w0_raw, w1_raw), live, steps,
+        decision, k_star, trace, q_squared, models,
+        (w0_raw, q_squared), live, steps,
     )
 
 

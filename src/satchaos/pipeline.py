@@ -1,10 +1,10 @@
 """One SAT decision, on either machine: the circuit or the generalized QTM.
 
 ``solve`` runs the whole pipeline on the chosen backend. The circuit backend
-reads q² = r/2^n off the bit-plane simulation, snaps it to the dyadic grid
-and drives it through the logistic map. The machine backend runs the unitary
+counts the models r exactly on the bit-plane simulation and drives
+q² = r/2^n through the logistic map. The machine backend runs the unitary
 stage and the collapse as quantum Turing machine phases, which leave the same
-weight r/2^n on the accepting branches. In its detection loop the machine's
+r branches accepting, each of weight 2^-n. In its detection loop the machine's
 tables step only the iteration counter (``compare``, ``increment``); the host
 applies the logistic map to the weight between those steps
 (:func:`~satchaos.gqtm.program.run_sat_gqtm`). Both fill the same
@@ -16,7 +16,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from .amplifier import AmplifierTrace, LogisticParams, amplify_detect, snap_dyadic
+from .amplifier import AmplifierTrace, LogisticParams, amplify_detect
 from .circuit import CircuitLayout, layout
 from .circuit import run as circuit_run
 from .gqtm.program import run_sat_gqtm
@@ -33,7 +33,7 @@ class SolveReport:
     n: int
     m: int
     decision: str                       # SAT | UNSAT | INCONCLUSIVE
-    q_squared: float                    # snapped to r/2^n
+    q_squared: float                    # r/2^n, from the exact count r
     trace: AmplifierTrace
     layout: CircuitLayout               # the circuit's register, on both backends
     gate_counts: dict[str, int] | None  # circuit backend only
@@ -88,7 +88,7 @@ def solve(inst: SatInstance, backend: str = "circuit",
     if backend == "circuit":
         result = circuit_run(inst)
         run_s = time.perf_counter() - start
-        q_squared, _ = snap_dyadic(result.q_squared, inst.num_vars)
+        q_squared = result.q_squared
         t0 = time.perf_counter()
         trace = amplify_detect(q_squared, inst.num_vars, params)
         amplify_s = time.perf_counter() - t0

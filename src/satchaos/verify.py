@@ -22,9 +22,7 @@ import numpy as np
 from .amplifier import amplify_detect, sweep_crossing_bounds
 from .circuit import build_circuit, layout, run as circuit_run, sat_decision_exact
 from .config import (
-    CROSS_BACKEND_ATOL,
     DEFAULT_SEED,
-    ORACLE_ATOL,
     SINGLE_OP_ATOL,
     UNITARITY_ATOL,
     VERIFY_SUITES,
@@ -236,10 +234,10 @@ def _oracle_checks(item: tuple[str, SatInstance]) -> tuple[int, list[str]]:
     rows: list[str] = []
     checks = 2
 
-    err = abs(result.q_squared - r / (1 << n))
-    if err >= ORACLE_ATOL:
+    if result.models != r:
         rows.append(
-            f"{label}: |q2 - r/2^n| = {err:.3e} for {to_dimacs(inst)!r} (r={r})"
+            f"{label}: circuit model count {result.models} != oracle {r} "
+            f"for {to_dimacs(inst)!r}"
         )
     decision = sat_decision_exact(result)
     if (decision == "SAT") != (r > 0):
@@ -332,10 +330,10 @@ def _cross_backend_checks(item: tuple[str, SatInstance]) -> tuple[int, list[str]
     machine_run = run_sat_gqtm(inst)
     circ = circuit_run(inst)
     checks = 2
-    if abs(machine_run.weights_raw[1] - circ.q_squared) >= CROSS_BACKEND_ATOL:
+    if machine_run.models != circ.models:
         rows.append(
-            f"{label}: machine weight {machine_run.weights_raw[1]!r} vs circuit "
-            f"q2 {circ.q_squared!r} for {to_dimacs(inst)!r}"
+            f"{label}: machine model count {machine_run.models} != circuit "
+            f"{circ.models} for {to_dimacs(inst)!r}"
         )
     if machine_run.decision != sat_decision_exact(circ):
         rows.append(

@@ -203,7 +203,10 @@ cnfs = st.integers(1, 12).flatmap(
 @settings(max_examples=300, deadline=None)
 def test_run_counts_models_exactly(cnf):
     inst = instance_from_ints(*cnf)
-    assert run(inst).q_squared * 2 ** inst.num_vars == count_models(inst)
+    result, models = run(inst), count_models(inst)
+    assert result.q_squared * 2 ** inst.num_vars == models
+    assert result.models == models
+    assert result.q_squared == models / 2 ** inst.num_vars
 
 
 def test_bit_planes_refuse_non_permutation_gate_lists():

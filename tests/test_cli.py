@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import random
@@ -587,6 +588,24 @@ def test_verify_gates_reports_a_malformed_circuit_gate(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert "FINDING: edge:contradiction: gate " in out
     assert "CN(1, 1): positions must be distinct" in out
+
+
+@pytest.mark.parametrize("engine, argv, finding", [
+    ("circuit_run", ["verify", "oracle", "--count", "0"],
+     "edge:contradiction: circuit model count 1 != oracle 0 "),
+    ("run_sat_gqtm", ["verify", "tables"],
+     "edge:contradiction: machine model count 1 != circuit 0 "),
+])
+def test_verify_reports_a_model_count_off_by_one(monkeypatch, capsys, engine, argv, finding):
+    run = getattr(satchaos.verify, engine)
+
+    def planted(inst):
+        result = run(inst)
+        return dataclasses.replace(result, models=result.models + 1)
+
+    monkeypatch.setattr(satchaos.verify, engine, planted)
+    assert main(argv) == EXIT_FINDINGS
+    assert f"  FINDING: {finding}" in capsys.readouterr().out
 
 
 def test_verify_findings_exit_findings(monkeypatch, capsys):

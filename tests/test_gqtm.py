@@ -404,7 +404,7 @@ def test_worked_example_full_run():
     assert result.decision == "SAT"
     assert result.k_star == 1
     assert result.q_squared == 0.5
-    assert result.r_estimate == 4
+    assert result.models == 4
     assert result.branch_count == 8
     assert result.weights_raw[0] == pytest.approx(0.5, abs=1e-9)
     assert result.weights_raw[1] == pytest.approx(0.5, abs=1e-9)
@@ -565,6 +565,8 @@ def test_machine_weight_is_the_exact_model_fraction(cnf):
     n, r = inst.num_vars, count_models(inst)
     result = run_sat_gqtm(inst)
     assert result.weights_raw == ((2**n - r) / 2**n, r / 2**n)
+    assert result.models == r == circuit_run(inst).models
+    assert result.q_squared == result.weights_raw[1] == r / 2**n
     assert result.branch_count == 2**n
     assert result.trace.x == amplify_detect(r / 2**n, n).x
 
