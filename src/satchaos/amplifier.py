@@ -65,7 +65,7 @@ def k_bounds(n: int, r: int, a: float = DEFAULT_LOGISTIC_A) -> tuple[int, int]:
     """Crossing-index window (k_low, k_high) claimed for a seed of r/2^n.
 
     k_low = floor((n-1-log2 r)/(log2 a - 1)), clamped at 0, and 0 for a <= 2,
-    where the window claims no lower bound; k_high = floor(5(n-1)/4).
+    where the window claims no lower bound; k_high = iteration_window(n) - 1.
     Undefined for r = 0 (nothing ever crosses).
     """
     if n < 1:
@@ -76,8 +76,7 @@ def k_bounds(n: int, r: int, a: float = DEFAULT_LOGISTIC_A) -> tuple[int, int]:
         raise ValueError(f"r = {r} exceeds 2^{n}")
     denom = math.log2(a) - 1.0
     k_low = max(0, math.floor((n - 1 - math.log2(r)) / denom)) if denom > 0 else 0
-    k_high = (5 * (n - 1)) // 4
-    return k_low, k_high
+    return k_low, iteration_window(n) - 1
 
 
 @dataclass(frozen=True)
@@ -106,7 +105,8 @@ def amplify_detect(q_squared: float, n: int,
     A crossing within the window is SAT. A positive seed that never crosses is
     INCONCLUSIVE — impossible for seeds of the form r/2^n with r >= 1, but
     reported honestly for arbitrary seeds. The window is used whole; the
-    claimed (k_low, k_high) is attached for reporting, never enforced.
+    claimed (k_low, k_high) is attached for reporting, never enforced. Both
+    backends decide here; the machine's counter steps beside this trace.
     """
     if not 0.0 <= q_squared <= 1.0:
         raise ValueError(f"q² must be in [0, 1], got {q_squared}")

@@ -7,11 +7,12 @@ Hadamard spreading, clause ORs, final AND) whose tables all pass the local
 unitarity certificate, a collapse that measures in the configuration basis
 and then runs one weighted pass that erases tracks 1, 2 and 0 (in that
 order, so branches merge by result bit before the long input sweep), and a
-detection loop that drives the result weight through the logistic map while
-a binary counter bounds the number of iterations. Every phase, and the
-classical replays, run on bit planes (:mod:`.planes`); the rule-by-rule
-engine (:func:`~.machine.step`) is the reference the tests compare them
-against.
+detection loop: the host's :func:`~satchaos.amplifier.amplify_detect` turns
+the result weight into the orbit and the verdict, while a binary counter
+steps beside it and must reach its limit as the window ends. Every phase,
+and the classical replays, run on bit planes (:mod:`.planes`); the
+rule-by-rule engine (:func:`~.machine.step`) is the reference the tests
+compare them against.
 
 Every phase's table depends only on the variable count, never on the clauses:
 the instance enters purely through the track-0 encoding. The six tables that
@@ -30,9 +31,8 @@ from typing import IO
 from ..amplifier import (
     AmplifierTrace,
     LogisticParams,
+    amplify_detect,
     iteration_window,
-    k_bounds,
-    logistic_step,
 )
 from ..config import (
     DEFAULT_MAX_MACHINE_VARS,
@@ -437,13 +437,12 @@ def run_sat_gqtm(inst: SatInstance, params: LogisticParams = LogisticParams(), *
     configurations. The collapse (:func:`collapse`) measures in the
     configuration basis (branch weight equals squared amplitude), blanks the
     workspace and hands off on the result bit, so the weight of the
-    accepting branches is the model fraction, exactly r/2^n. That weight
-    drives the logistic map, testing the threshold before each iteration,
-    until it crosses (satisfiable) or the counter, stepped on one waiting
-    branch, reaches the iteration limit (unsatisfiable when the weight is
-    exactly zero). An invariant break raises ``ArithmeticError`` (norm,
-    trace) or ``RuntimeError``
-    (:class:`~.planes.LockstepError` among them).
+    accepting branches is the model fraction, exactly r/2^n. From that weight
+    :func:`~satchaos.amplifier.amplify_detect` computes the orbit and the
+    verdict; the counter, stepped on one waiting branch until the orbit
+    crosses, must read equal exactly when the window ends. An invariant break
+    raises ``ArithmeticError`` (norm, trace) or ``RuntimeError``
+    (:class:`~.planes.LockstepError` and a counter off the window among them).
     """
     n = inst.num_vars
     if n > DEFAULT_MAX_MACHINE_VARS:
@@ -494,35 +493,26 @@ def run_sat_gqtm(inst: SatInstance, params: LogisticParams = LogisticParams(), *
     q_squared = planes.mass(models)  # r/2^n: width == 2^n, so forks == n
     w0_raw = planes.mass(idle.bit_count())
     results = (accept != 0) + (idle != 0)  # result values present
-    bounds = k_bounds(n, models, params.a) if models else None
 
-    loop = _counter_planes(planes, idle) if idle else None
-    xs = [q_squared]
-    w1 = q_squared
-    k = 0
-    k_star = None
-    decision = None
-    while True:
+    trace = amplify_detect(q_squared, n, params)
+    window = iteration_window(n)
+    loop = _counter_planes(planes, idle) if idle else None  # none: q² = 1 crosses at 0
+    for k, w1 in enumerate(trace.x):
         if jsonl_sink is not None:
             write_row(results, 1.0, w1)
-        if w1 > params.threshold:
-            decision, k_star = "SAT", k
+        if k == trace.first_crossing:
             break
-        if loop is None:
-            raise RuntimeError("no loop component yet the weight never crossed")
         loop.run_phase(machine.phase("compare"))
         (state,) = loop.groups
-        if state == "cmp_eq_done":
-            decision = "UNSAT" if w1 == 0.0 else "INCONCLUSIVE"
-            break
-        loop.run_phase(machine.phase("increment"))
-        w1 = logistic_step(w1, params.a)
-        xs.append(w1)
-        k += 1
+        if (state == "cmp_eq_done") != (k == window):
+            raise RuntimeError(
+                f"the counter read {state} after {k} of {window} amplifications"
+            )
+        if k < window:
+            loop.run_phase(machine.phase("increment"))
 
-    trace = AmplifierTrace(tuple(xs), k_star, decision, bounds, params)
     return GqtmRun(
-        decision, k_star, trace, q_squared, models,
+        trace.decision, trace.first_crossing, trace, q_squared, models,
         (w0_raw, q_squared), live, steps,
     )
 

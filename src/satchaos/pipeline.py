@@ -4,11 +4,11 @@
 counts the models r exactly on the bit-plane simulation and drives
 q² = r/2^n through the logistic map. The machine backend runs the unitary
 stage and the collapse as quantum Turing machine phases, which leave the same
-r branches accepting, each of weight 2^-n. In its detection loop the machine's
-tables step only the iteration counter (``compare``, ``increment``); the host
-applies the logistic map to the weight between those steps
-(:func:`~satchaos.gqtm.program.run_sat_gqtm`). Both fill the same
-:class:`SolveReport`.
+r branches accepting, each of weight 2^-n. Both backends take the orbit and
+the verdict from :func:`~satchaos.amplifier.amplify_detect`; on the machine
+(:func:`~satchaos.gqtm.program.run_sat_gqtm`) the iteration counter's tables
+(``compare``, ``increment``) step beside that orbit and must reach their limit
+exactly when the window ends. Both fill the same :class:`SolveReport`.
 """
 
 from __future__ import annotations
@@ -96,7 +96,7 @@ def solve(inst: SatInstance, backend: str = "circuit",
     else:
         machine_run = run_sat_gqtm(inst, params)
         run_s = time.perf_counter() - start
-        amplify_s = 0.0  # the machine loop amplifies inline
+        amplify_s = 0.0  # run_sat_gqtm calls amplify_detect within run_s
         q_squared, trace = machine_run.q_squared, machine_run.trace
         lay, gate_counts = layout(inst), None
         machine = {

@@ -81,8 +81,12 @@ def random_instance(rng: random.Random, max_n: int = 10) -> SatInstance:
     n uniform on 1..max_n, m uniform on 1..2n, widths uniform on 1..min(3, n)
     with distinct variables per clause, signs uniform. Unconstrained m-clause
     formulas can demand ~4n qubits of workspace, so the draw is repeated until
-    the laid-out circuit stays within :data:`MAX_TOTAL_QUBITS`.
+    the laid-out circuit stays within :data:`MAX_TOTAL_QUBITS`. A layout takes
+    at least n + 2 qubits, so a larger ``max_n`` would draw forever.
     """
+    if max_n > MAX_TOTAL_QUBITS - 2:
+        raise ValueError(f"max_n = {max_n}: at most {MAX_TOTAL_QUBITS - 2} variables "
+                         f"lay out within {MAX_TOTAL_QUBITS} qubits")
     while True:
         n = rng.randint(1, max_n)
         m = rng.randint(1, 2 * n)

@@ -13,6 +13,7 @@ from hypothesis import example, given, strategies as st
 
 import satchaos.circuit
 import satchaos.cli
+import satchaos.gqtm.program
 import satchaos.pipeline
 import satchaos.verify
 from satchaos.amplifier import iteration_window, k_bounds
@@ -73,16 +74,25 @@ def test_solve_worked_example(worked_path, capsys):
     assert report["timings"] is not None
 
 
-def test_solve_backends_agree(worked_path, capsys):
-    assert main(["solve", worked_path, "--deterministic"]) == EXIT_OK
+@pytest.mark.parametrize("cnf, flags, decision, unitary_steps", [
+    (WORKED_CNF, [], "SAT", 79),
+    ("p cnf 3 2\n1 0\n-1 0\n", [], "UNSAT", 62),
+    (WORKED_CNF, ["--a", "2.5", "--threshold", "0.9"], "INCONCLUSIVE", 79),
+], ids=["worked", "unsat", "inconclusive"])
+def test_solve_backends_agree(cnf, flags, decision, unitary_steps, tmp_path, capsys):
+    path = tmp_path / "instance.cnf"
+    path.write_text(cnf)
+    argv = ["solve", str(path), "--deterministic", *flags]
+    assert main(argv) == EXIT_OK
     circuit = json.loads(capsys.readouterr().out)
-    assert main(["solve", worked_path, "--backend", "gqtm", "--deterministic"]) == EXIT_OK
+    assert main([*argv, "--backend", "gqtm"]) == EXIT_OK
     machine = json.loads(capsys.readouterr().out)
 
     for key in ("n", "m", "decision", "q_squared", "r_oracle", "layout", "amplifier"):
         assert circuit[key] == machine[key], key
+    assert machine["decision"] == decision
     assert machine["gate_counts"] is None
-    assert machine["machine"] == {"branch_count": 8, "unitary_steps": 79}
+    assert machine["machine"] == {"branch_count": 8, "unitary_steps": unitary_steps}
     assert circuit["machine"] is None
 
 
@@ -479,6 +489,25 @@ def test_invariant_break_exits_internal(worked_path, monkeypatch, capsys, exc):
     assert captured.err.startswith(f"internal error: {type(exc).__name__}: ")
 
 
+def test_a_counter_that_misses_the_window_exits_internal(tmp_path, monkeypatch, capsys):
+    """A ``setup`` laid out for two variables makes the three-variable
+    counter read equal one amplification before the window ends."""
+    machine = satchaos.gqtm.program.sat_machine(3)
+    planted = dataclasses.replace(
+        machine, phases=(satchaos.gqtm.program.phase_setup(2), *machine.phases[1:])
+    )
+    monkeypatch.setattr(satchaos.gqtm.program, "sat_machine", lambda n: planted)
+    path = tmp_path / "unsat.cnf"
+    path.write_text("p cnf 3 2\n1 0\n-1 0\n")
+    assert main(["solve", str(path), "--backend", "gqtm"]) == EXIT_INTERNAL
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "internal error: RuntimeError: the counter read cmp_eq_done "
+        "after 2 of 3 amplifications\n"
+    )
+
+
 @pytest.mark.parametrize("command", ["solve", "trace"])
 def test_run_commands_take_no_seed(worked_path, command):
     with pytest.raises(SystemExit):
@@ -514,6 +543,17 @@ def test_verify_refuses_an_empty_oracle_range(flag, value, capsys):
     captured = capsys.readouterr()
     assert f"error: argument {flag}: must be at least" in captured.err
     assert "OK" not in captured.out
+
+
+def test_verify_refuses_more_variables_than_the_qubit_budget_holds(capsys):
+    """Every layout takes at least n + 2 qubits, so no instance above 18
+    variables fits the 20-qubit budget: the draw would never end."""
+    assert main(["verify", "oracle", "--count", "1", "--max-n", "19"]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert "at most 18 variables" in captured.err
+    assert "OK" not in captured.out
+    rng = random.Random(0)  # 18 variables still draw
+    assert all(satchaos.verify.random_instance(rng, 18).num_vars <= 18 for _ in range(20))
 
 
 def test_help_exits_ok(capsys):

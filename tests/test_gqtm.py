@@ -8,7 +8,7 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from satchaos.amplifier import amplify_detect, iteration_window, snap_dyadic
+from satchaos.amplifier import LogisticParams, amplify_detect, iteration_window, snap_dyadic
 from satchaos.circuit import run as circuit_run
 from satchaos.config import SINGLE_OP_ATOL, GuardExceeded
 from satchaos.gqtm.machine import (
@@ -40,6 +40,7 @@ from satchaos.gqtm.program import (
     HANDOFF,
     OR_EVAL,
     UNITARY_STAGE,
+    SatMachine,
     _bit_plane,
     _counter_planes,
     collapse,
@@ -558,17 +559,49 @@ def test_machine_counts_models_and_replays_every_branch(cnf):
         assert clause_bits == tuple(eval_clause(c, bits) for c in inst.clauses)
 
 
-@given(small_cnfs_up_to(12, max_m=24))
+# (a, threshold) pairs: the default; 2.5 against 0.9 leaves every seed
+# below 0.9 INCONCLUSIVE (the orbit settles at 0.6); 4.0 and 1.5 move the
+# crossing; 1e-300 underflows a positive orbit to 0.0, which stays
+# INCONCLUSIVE, not UNSAT.
+LOGISTIC_PAIRS = [(3.71, 0.5), (2.5, 0.9), (4.0, 0.99), (1.5, 0.3), (1e-300, 0.5)]
+
+
+@given(small_cnfs_up_to(12, max_m=24), st.sampled_from(LOGISTIC_PAIRS))
+@example((3, [[1]]), (1e-300, 0.5))
+@example((3, [[1, 2]]), (2.5, 0.9))
 @settings(max_examples=40, deadline=None)
-def test_machine_weight_is_the_exact_model_fraction(cnf):
+def test_machine_weight_is_the_exact_model_fraction(cnf, pair):
     inst = instance_from_ints(*cnf)
+    params = LogisticParams(*pair)
     n, r = inst.num_vars, count_models(inst)
-    result = run_sat_gqtm(inst)
+    result = run_sat_gqtm(inst, params)
     assert result.weights_raw == ((2**n - r) / 2**n, r / 2**n)
     assert result.models == r == circuit_run(inst).models
     assert result.q_squared == result.weights_raw[1] == r / 2**n
     assert result.branch_count == 2**n
-    assert result.trace.x == amplify_detect(r / 2**n, n).x
+    trace = amplify_detect(r / 2**n, n, params)
+    assert result.trace == trace and result.trace.params == params
+    assert (result.decision, result.k_star) == (trace.decision, trace.first_crossing)
+
+
+@pytest.mark.parametrize("num_vars, setup_for, message", [
+    (3, 2, "read cmp_eq_done after 2 of 3 amplifications"),
+    (5, 6, "read cmp_ne_done after 6 of 6 amplifications"),
+], ids=["equal-early", "unequal-at-the-end"])
+def test_a_counter_that_misses_the_window_is_an_invariant_break(
+        num_vars, setup_for, message, monkeypatch):
+    """The counter steps beside the host's orbit and must read equal exactly
+    when the window ends. A ``setup`` laid out for another variable count
+    (of the same counter width) ends the count early or late."""
+    machine = sat_machine(num_vars)
+    planted = SatMachine(num_vars, (phase_setup(setup_for), *machine.phases[1:]))
+    monkeypatch.setattr("satchaos.gqtm.program.sat_machine", lambda n: planted)
+    with pytest.raises(RuntimeError, match=message):
+        run_sat_gqtm(instance_from_ints(num_vars, [[1], [-1]]))
+    # One model crosses at k* = 2 (n = 3) or 3 (n = 5), no later than the
+    # planted limit: the loop stops at k* before reading the counter.
+    one_model = instance_from_ints(num_vars, [[v] for v in range(1, num_vars + 1)])
+    assert run_sat_gqtm(one_model).decision == "SAT"
 
 
 @pytest.mark.parametrize("num_vars", [1, 2, 3, 4])
