@@ -15,6 +15,7 @@ qubit's value under assignment i: parallel-pattern logic simulation);
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .config import GuardExceeded, MAX_PLANE_BYTES
@@ -55,14 +56,20 @@ def _delta(card: int) -> int:
 
 
 def layout(inst: SatInstance) -> CircuitLayout:
-    """Assign clause work blocks by the width recurrence.
+    """Assign clause work blocks by the width recurrence (see
+    :func:`layout_from_cards`)."""
+    return layout_from_cards(inst.num_vars, inst.cards())
+
+
+def layout_from_cards(num_vars: int, cards: Sequence[int]) -> CircuitLayout:
+    """The layout of ``num_vars`` variables and clauses of the given cards
+    (literal counts, in clause order), without building the instance.
 
     For two or more clauses the dust count is computed both from the
     recurrence (s_f - 1 - n) and from the closed form
     sum(card + delta) - 2; the two must agree.
     """
-    n, m = inst.num_vars, inst.num_clauses
-    cards = inst.cards()
+    n, m = num_vars, len(cards)
     s = [n + 1]
     if m == 1:
         s_f = s[0] - 1 + cards[0] + _delta(cards[0])

@@ -103,7 +103,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     verify = commands.add_parser("verify", help="run a verification suite")
     verify.add_argument("suite", choices=[*VERIFY_SUITES, "all"])
-    verify.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    verify.add_argument("--seed", type=_int_at_least(0), default=DEFAULT_SEED)
     verify.add_argument("--count", type=_int_at_least(0), default=100,
                         help="random instances for the oracle suite")
     verify.add_argument("--max-n", type=_int_at_least(1), default=10,

@@ -20,17 +20,31 @@ from itertools import combinations, product
 import numpy as np
 
 from .amplifier import amplify_detect, sweep_crossing_bounds
-from .circuit import build_circuit, layout, run as circuit_run, sat_decision_exact
+from .circuit import (
+    build_circuit,
+    layout,
+    layout_from_cards,
+    run as circuit_run,
+    sat_decision_exact,
+)
 from .config import (
+    ACCUMULATED_ATOL,
     DEFAULT_SEED,
     SINGLE_OP_ATOL,
     UNITARITY_ATOL,
     VERIFY_SUITES,
 )
-from .gates import GateKind, check_gates, decompose, placed
-from .gqtm.machine import ConfigSuperposition, check_wellformed, make_configuration, step
+from .gates import GateKind, PlacedGate, check_gates, decompose, placed
+from .gqtm.machine import (
+    ConfigSuperposition,
+    TransitionFunction,
+    WellformedReport,
+    check_wellformed,
+    make_configuration,
+    step,
+)
 from .gqtm.program import run_classical_branches, run_sat_gqtm, sat_machine
-from .quantum import StateVector, apply_sequence, basis_state, gate_matrix
+from .quantum import StateVector, apply_placed_gate, gate_matrix
 from .sat import (
     SatInstance,
     count_models,
@@ -80,9 +94,11 @@ def random_instance(rng: random.Random, max_n: int = 10) -> SatInstance:
 
     n uniform on 1..max_n, m uniform on 1..2n, widths uniform on 1..min(3, n)
     with distinct variables per clause, signs uniform. Unconstrained m-clause
-    formulas can demand ~4n qubits of workspace, so the draw is repeated until
-    the laid-out circuit stays within :data:`MAX_TOTAL_QUBITS`. A layout takes
-    at least n + 2 qubits, so a larger ``max_n`` would draw forever.
+    formulas can demand ~4n qubits of workspace, so a draw whose layout
+    (computed from the widths alone) exceeds :data:`MAX_TOTAL_QUBITS` is
+    refused before its instance is built, and the next one is drawn. A
+    layout takes at least n + 2 qubits, so a larger ``max_n`` would draw
+    forever.
     """
     if max_n > MAX_TOTAL_QUBITS - 2:
         raise ValueError(f"max_n = {max_n}: at most {MAX_TOTAL_QUBITS - 2} variables "
@@ -90,14 +106,15 @@ def random_instance(rng: random.Random, max_n: int = 10) -> SatInstance:
     while True:
         n = rng.randint(1, max_n)
         m = rng.randint(1, 2 * n)
+        widths = []
         clauses = []
         for _ in range(m):
             width = rng.randint(1, min(3, n))
             variables = rng.sample(range(1, n + 1), width)
+            widths.append(width)
             clauses.append([v if rng.random() < 0.5 else -v for v in variables])
-        inst = instance_from_ints(n, clauses)
-        if layout(inst).total_qubits <= MAX_TOTAL_QUBITS:
-            return inst
+        if layout_from_cards(n, widths).total_qubits <= MAX_TOTAL_QUBITS:
+            return instance_from_ints(n, clauses)
 
 
 # --- suite: gates -----------------------------------------------------------
@@ -116,15 +133,57 @@ def _circuit_gate_findings(item: tuple[str, SatInstance]) -> tuple[int, list[str
     return len(gates), rows
 
 
+def _rewrite_batch(states: np.ndarray, gate: PlacedGate) -> tuple[np.ndarray, np.ndarray]:
+    """``gate`` and its :func:`decompose` rewrite, each applied to every row
+    of ``states`` (one 2^q-amplitude state of q qubits per row) at once.
+
+    The rows are stacked as one register of q + b qubits, b the bits that
+    index a row: qubits 1..q hold a state and the qubits above pick its row;
+    the slots past the last row stay zero and are ignored. Each side runs
+    once through the dense engine. The gates must lie in qubits 1..q, and
+    each row keeps the norm budget of ``quantum.apply_sequence``. Returns
+    both sides, one row per state.
+    """
+    count, dim = states.shape
+    q = dim.bit_length() - 1
+    b = (count - 1).bit_length()
+    padded = np.zeros((1 << b, dim), dtype=np.complex128)
+    padded[:count] = states
+    register = StateVector(q + b, padded.reshape(-1))
+    sides = []
+    for gates in ((gate,), decompose(gate)):
+        check_gates(gates, q)
+        out = register
+        for g in gates:
+            out = apply_placed_gate(out, g)
+        rows = out.amplitudes.reshape(-1, dim)[:count]
+        if gates:  # as apply_sequence: an empty rewrite moves nothing
+            budget = ACCUMULATED_ATOL * len(gates)
+            drift = np.abs(np.sum(np.abs(rows) ** 2, axis=1) - 1.0)
+            worst = int(np.argmax(drift))
+            if drift[worst] > budget:
+                raise ArithmeticError(
+                    f"state {worst}: norm drifted by {drift[worst]:.3e} over {len(gates)} "
+                    f"gates (budget {budget:.3e})"
+                )
+        sides.append(rows)
+    direct, rewritten = sides
+    return direct, rewritten
+
+
 def suite_gates(seed: int = DEFAULT_SEED) -> SuiteResult:
     """Unitarity of every gate matrix, the rewrite identities, and the
     well-formedness of every gate the circuit builder places.
 
     Identities are demanded exactly on basis states (both sides are
-    permutations there) and to 1e-12 on random states of a 4-qubit register
-    with scattered placements. Gates are built unchecked, so each gate of
-    the circuits for the edge instances and :data:`GATE_INSTANCES` seeded
-    random instances goes through :func:`check_gates` here.
+    permutations there) and to 1e-12 on :data:`RANDOM_STATES` random states
+    of a 4-qubit register with scattered placements, each state one check.
+    The states of each kind run as one stacked register
+    (:func:`_rewrite_batch`); AND, OR, COPY and their rewrites permute basis
+    states, so every amplitude comes out as it would one state at a time.
+    Gates are built unchecked, so each gate of the circuits for the edge
+    instances and :data:`GATE_INSTANCES` seeded random instances goes
+    through :func:`check_gates` here.
     """
     findings: list[str] = []
     checks = 0
@@ -154,29 +213,31 @@ def suite_gates(seed: int = DEFAULT_SEED) -> SuiteResult:
     )
     for gate in composite:
         n = max(gate.positions)
-        for index in range(1 << n):
-            direct = apply_sequence(basis_state(n, index), [gate])
-            rewritten = apply_sequence(basis_state(n, index), decompose(gate))
+        direct, rewritten = _rewrite_batch(np.eye(1 << n, dtype=np.complex128), gate)
+        for index, equal in enumerate(np.all(direct == rewritten, axis=1).tolist()):
             checks += 1
-            if not np.array_equal(direct.amplitudes, rewritten.amplitudes):
+            if not equal:
                 findings.append(
                     f"{gate!r} decomposition differs on basis state |{index}>"
                 )
 
     rng = np.random.default_rng(seed)
+    states = np.empty((RANDOM_STATES, 16), dtype=np.complex128)
+    for i in range(RANDOM_STATES):
+        amps = rng.normal(size=16) + 1j * rng.normal(size=16)
+        amps /= np.linalg.norm(amps)
+        states[i] = amps
     scattered = (
         placed(GateKind.AND, 3, 1, 4),
         placed(GateKind.OR, 2, 4, 1),
         placed(GateKind.COPY, 4, 2),
     )
-    for _ in range(RANDOM_STATES):
-        amps = rng.normal(size=16) + 1j * rng.normal(size=16)
-        amps /= np.linalg.norm(amps)
-        state = StateVector(4, amps)
-        for gate in scattered:
-            direct = apply_sequence(state, [gate])
-            rewritten = apply_sequence(state, decompose(gate))
-            dev = float(np.max(np.abs(direct.amplitudes - rewritten.amplitudes)))
+    devs = []
+    for gate in scattered:
+        direct, rewritten = _rewrite_batch(states, gate)
+        devs.append(np.max(np.abs(direct - rewritten), axis=1).tolist())
+    for per_state in zip(*devs):
+        for gate, dev in zip(scattered, per_state):
             checks += 1
             if dev > SINGLE_OP_ATOL:
                 findings.append(
@@ -280,12 +341,22 @@ _CERTIFIED_UNITARY = ("setup", "dft", "or_eval", "and_eval",
                       "handoff", "increment", "compare")
 
 
-def _census_findings(num_vars: int) -> tuple[int, list[str]]:
+def _census_findings(num_vars: int,
+                     reports: dict[TransitionFunction, WellformedReport]) -> tuple[int, list[str]]:
+    """The certificate checks of every phase table of ``sat_machine(num_vars)``.
+
+    The machines for different counts share the six tables built at import,
+    so ``reports`` keeps each table's :func:`check_wellformed` report (keyed
+    by the table object) for the caller's other counts. Each count still
+    gets its own checks and rows.
+    """
     machine = sat_machine(num_vars)
     rows: list[str] = []
     checks = 0
     for phase in machine.phases:
-        report = check_wellformed(phase.delta)
+        report = reports.get(phase.delta)
+        if report is None:
+            report = reports[phase.delta] = check_wellformed(phase.delta)
         checks += 2
         if report.normalization_defects:
             rows.append(
@@ -399,8 +470,9 @@ def suite_tables(seed: int = DEFAULT_SEED) -> SuiteResult:
     findings: list[str] = []
     checks = 0
 
+    reports: dict[TransitionFunction, WellformedReport] = {}  # dropped with this call
     for n in (1, 2, 3):
-        got, rows = _census_findings(n)
+        got, rows = _census_findings(n, reports)
         checks += got
         findings.extend(rows)
 

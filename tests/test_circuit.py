@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from collections import Counter
 
@@ -10,6 +11,7 @@ from satchaos.circuit import (
     build_circuit,
     gate_tally,
     layout,
+    layout_from_cards,
     run,
     sat_decision_exact,
 )
@@ -207,6 +209,19 @@ def test_run_counts_models_exactly(cnf):
     assert result.q_squared * 2 ** inst.num_vars == models
     assert result.models == models
     assert result.q_squared == models / 2 ** inst.num_vars
+
+
+@given(cnfs)
+@settings(max_examples=300, deadline=None)
+def test_layout_from_cards_is_the_layout_of_the_instance(cnf):
+    """The widths of the integer clause lists, as ``random_instance`` draws
+    them, lay out exactly the built instance: duplicates count as literals."""
+    n, clauses = cnf
+    inst = instance_from_ints(n, clauses)
+    assert inst.cards() == tuple(map(len, clauses))
+    assert dataclasses.astuple(layout_from_cards(n, list(map(len, clauses)))) == (
+        dataclasses.astuple(layout(inst))
+    )
 
 
 def test_bit_planes_refuse_non_permutation_gate_lists():

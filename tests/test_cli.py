@@ -26,6 +26,7 @@ from satchaos.cli import (
     _json_text,
     main,
 )
+from satchaos.config import VERIFY_SUITES
 from satchaos.gates import GateKind, placed
 from satchaos.gqtm import LockstepError, StuckConfigurationError
 from satchaos.sat import instance_from_ints, to_dimacs
@@ -591,6 +592,18 @@ def test_sweep_rejects_bad_seeds(capsys):
     assert "--r" in capsys.readouterr().err
     assert main(["sweep", "--r", "0"]) == EXIT_INPUT
     assert ">= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("suite", [*VERIFY_SUITES, "all"])
+def test_verify_refuses_a_negative_seed_before_any_suite_runs(suite, capsys):
+    """Every suite shares one seed domain: numpy's generator takes no
+    negative seed, so the parser refuses it, naming the option."""
+    with pytest.raises(SystemExit) as excinfo:
+        main(["verify", suite, "--seed", "-1"])
+    assert excinfo.value.code == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert "error: argument --seed: must be at least 0, got -1" in captured.err
+    assert captured.out == ""
 
 
 def test_sweep_writes_csv_file(tmp_path, capsys):
